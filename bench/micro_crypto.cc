@@ -112,6 +112,26 @@ void BM_CbcHmacSeal16K(benchmark::State& state) {
 }
 BENCHMARK(BM_CbcHmacSeal16K)->Arg(4096)->Arg(16384)->Unit(benchmark::kMicrosecond);
 
+void BM_CbcHmacOpen(benchmark::State& state) {
+  CbcHmacKeys keys;
+  keys.enc_key = Bytes(16, 0x01);
+  keys.mac_key = Bytes(20, 0x02);
+  const Bytes iv(16, 0x03);
+  const Bytes fragment(static_cast<size_t>(state.range(0)), 0x42);
+  Bytes header = {23, 3, 3, 0, 0};
+  header[3] = static_cast<uint8_t>(fragment.size() >> 8);
+  header[4] = static_cast<uint8_t>(fragment.size());
+  const Bytes sealed = cbc_hmac_seal(keys, 0, header, iv, fragment);
+  const Bytes header3(header.begin(), header.begin() + 3);
+  for (auto _ : state) {
+    auto opened = cbc_hmac_open(keys, 0, header3, iv, sealed);
+    benchmark::DoNotOptimize(opened);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_CbcHmacOpen)->Arg(16384)->Unit(benchmark::kMicrosecond);
+
 void BM_GcmSeal(benchmark::State& state) {
   const Bytes key(16, 0x01);
   const Bytes nonce(12, 0x02);
@@ -125,6 +145,22 @@ void BM_GcmSeal(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_GcmSeal)->Arg(4096)->Arg(16384)->Unit(benchmark::kMicrosecond);
+
+void BM_GcmOpen(benchmark::State& state) {
+  const Bytes key(16, 0x01);
+  const Bytes nonce(12, 0x02);
+  const Bytes aad(5, 0x03);
+  const Bytes pt(static_cast<size_t>(state.range(0)), 0x42);
+  Aes aes(key);
+  const Bytes sealed = gcm_seal(aes, nonce, aad, pt);
+  for (auto _ : state) {
+    auto opened = gcm_open(aes, nonce, aad, sealed);
+    benchmark::DoNotOptimize(opened);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_GcmOpen)->Arg(16384)->Unit(benchmark::kMicrosecond);
 
 void BM_Sha256_1K(benchmark::State& state) {
   const Bytes data(1024, 0x77);

@@ -14,6 +14,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/spsc_ring.h"  // kCacheLine
@@ -34,28 +35,10 @@ class MpscRing {
 
   size_t capacity() const { return cells_.size(); }
 
-  // Lock-free multi-producer push; false when the ring is full.
-  bool try_push(T value) {
-    size_t pos = head_.load(std::memory_order_relaxed);
-    for (;;) {
-      Cell& cell = cells_[pos & mask_];
-      const size_t seq = cell.seq.load(std::memory_order_acquire);
-      const intptr_t dif =
-          static_cast<intptr_t>(seq) - static_cast<intptr_t>(pos);
-      if (dif == 0) {
-        if (head_.compare_exchange_weak(pos, pos + 1,
-                                        std::memory_order_relaxed)) {
-          cell.value = std::move(value);
-          cell.seq.store(pos + 1, std::memory_order_release);
-          return true;
-        }
-      } else if (dif < 0) {
-        return false;  // the cell a full lap ahead is still unconsumed
-      } else {
-        pos = head_.load(std::memory_order_relaxed);
-      }
-    }
-  }
+  // Lock-free multi-producer push; false when the ring is full. Moves from
+  // `value` only on success, so a failed push leaves it intact.
+  bool try_push(T&& value) { return push(std::move(value)); }
+  bool try_push(const T& value) { return push(value); }
 
   // Single-consumer pop: wait-free, one acquire load per element.
   std::optional<T> try_pop() {
@@ -90,6 +73,29 @@ class MpscRing {
   bool empty_hint() const { return size_hint() == 0; }
 
  private:
+  template <typename U>
+  bool push(U&& value) {
+    size_t pos = head_.load(std::memory_order_relaxed);
+    for (;;) {
+      Cell& cell = cells_[pos & mask_];
+      const size_t seq = cell.seq.load(std::memory_order_acquire);
+      const intptr_t dif =
+          static_cast<intptr_t>(seq) - static_cast<intptr_t>(pos);
+      if (dif == 0) {
+        if (head_.compare_exchange_weak(pos, pos + 1,
+                                        std::memory_order_relaxed)) {
+          cell.value = std::forward<U>(value);
+          cell.seq.store(pos + 1, std::memory_order_release);
+          return true;
+        }
+      } else if (dif < 0) {
+        return false;  // the cell a full lap ahead is still unconsumed
+      } else {
+        pos = head_.load(std::memory_order_relaxed);
+      }
+    }
+  }
+
   struct Cell {
     std::atomic<size_t> seq;
     T value;

@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <new>
 #include <optional>
+#include <utility>
 #include <vector>
 
 namespace qtls {
@@ -33,17 +34,10 @@ class SpscRing {
 
   size_t capacity() const { return buf_.size(); }
 
-  bool try_push(T value) {
-    const size_t head = head_.load(std::memory_order_relaxed);
-    const size_t tail = tail_cache_;
-    if (head - tail >= buf_.size()) {
-      tail_cache_ = tail_.load(std::memory_order_acquire);
-      if (head - tail_cache_ >= buf_.size()) return false;
-    }
-    buf_[head & mask_] = std::move(value);
-    head_.store(head + 1, std::memory_order_release);
-    return true;
-  }
+  // Moves from `value` only on success: a push that fails on a full ring
+  // leaves the caller's value intact for the retry.
+  bool try_push(T&& value) { return push(std::move(value)); }
+  bool try_push(const T& value) { return push(value); }
 
   std::optional<T> try_pop() {
     const size_t tail = tail_.load(std::memory_order_relaxed);
@@ -64,6 +58,19 @@ class SpscRing {
   bool empty_hint() const { return size_hint() == 0; }
 
  private:
+  template <typename U>
+  bool push(U&& value) {
+    const size_t head = head_.load(std::memory_order_relaxed);
+    const size_t tail = tail_cache_;
+    if (head - tail >= buf_.size()) {
+      tail_cache_ = tail_.load(std::memory_order_acquire);
+      if (head - tail_cache_ >= buf_.size()) return false;
+    }
+    buf_[head & mask_] = std::forward<U>(value);
+    head_.store(head + 1, std::memory_order_release);
+    return true;
+  }
+
   static size_t round_up(size_t v) {
     size_t p = 1;
     while (p < v) p <<= 1;

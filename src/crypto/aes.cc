@@ -3,6 +3,8 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "crypto/aes_impl.h"
+
 namespace qtls {
 
 namespace {
@@ -116,11 +118,21 @@ void inv_mix_columns(uint8_t s[16]) {
 
 }  // namespace
 
-Aes::Aes(BytesView key) {
+Aes::Aes(BytesView key)
+    : Aes(key, aes_impl::hw_available() ? aes_impl::Path::kHardware
+                                        : aes_impl::Path::kPortable) {}
+
+Aes::Aes(BytesView key, aes_impl::Path path) : path_(path) {
   const size_t nk = key.size() / 4;  // words
   if (key.size() != 16 && key.size() != 32)
     throw std::invalid_argument("AES key must be 16 or 32 bytes");
   rounds_ = key.size() == 16 ? 10 : 14;
+  if (path_ == aes_impl::Path::kHardware) {
+    if (!aes_impl::hw_available())
+      throw std::invalid_argument("AES: no AES-NI/PCLMULQDQ on this CPU");
+    aes_impl::hw::expand_key(key, round_keys_.data(), dec_round_keys_.data());
+    return;
+  }
   const size_t total_words = 4 * (static_cast<size_t>(rounds_) + 1);
   const auto& t = tables();
 
@@ -150,6 +162,8 @@ Aes::Aes(BytesView key) {
 }
 
 void Aes::encrypt_block(const uint8_t in[16], uint8_t out[16]) const {
+  if (path_ == aes_impl::Path::kHardware)
+    return aes_impl::hw::encrypt_block(round_keys_.data(), rounds_, in, out);
   uint8_t s[16];
   std::memcpy(s, in, 16);
   for (int i = 0; i < 16; ++i) s[i] ^= round_keys_[i];
@@ -168,6 +182,9 @@ void Aes::encrypt_block(const uint8_t in[16], uint8_t out[16]) const {
 }
 
 void Aes::decrypt_block(const uint8_t in[16], uint8_t out[16]) const {
+  if (path_ == aes_impl::Path::kHardware)
+    return aes_impl::hw::decrypt_block(dec_round_keys_.data(), rounds_, in,
+                                       out);
   uint8_t s[16];
   std::memcpy(s, in, 16);
   const uint8_t* rk_last = &round_keys_[16 * static_cast<size_t>(rounds_)];

@@ -12,9 +12,15 @@
 
 namespace qtls {
 
+namespace aes_impl {
+enum class Path : uint8_t;
+struct Access;
+}  // namespace aes_impl (crypto/aes_impl.h)
+
 class Aes {
  public:
-  // key.size() must be 16 or 32.
+  // key.size() must be 16 or 32. Runs on AES-NI when the CPU has it, else on
+  // the portable byte-wise rounds (crypto/aes_impl.h).
   explicit Aes(BytesView key);
 
   void encrypt_block(const uint8_t in[16], uint8_t out[16]) const;
@@ -23,9 +29,16 @@ class Aes {
   size_t key_bits() const { return rounds_ == 10 ? 128 : 256; }
 
  private:
+  friend struct aes_impl::Access;
+  Aes(BytesView key, aes_impl::Path path);
+
+  aes_impl::Path path_;
   int rounds_;
   // (rounds_ + 1) 16-byte round keys, column-major as in FIPS 197.
-  std::array<uint8_t, 240> round_keys_;
+  alignas(16) std::array<uint8_t, 240> round_keys_;
+  // The hardware path's decryption keys (aesimc, reversed); the portable
+  // path leaves them zero.
+  alignas(16) std::array<uint8_t, 240> dec_round_keys_{};
 };
 
 // CBC with explicit IV; input must be a multiple of 16 (TLS pads first).

@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "crypto/aes_impl.h"
+
 namespace qtls {
 
 namespace {
@@ -84,22 +86,44 @@ void ctr_xor(const Aes& aes, uint8_t counter[16], BytesView in, uint8_t* out) {
   }
 }
 
+bool on_hardware(const Aes& aes) {
+  return aes_impl::Access::path(aes) == aes_impl::Path::kHardware;
+}
+
+// CTR over `in` from J0, on the key's implementation.
+void gcm_ctr(const Aes& aes, const uint8_t j0[16], BytesView in,
+             uint8_t* out) {
+  if (on_hardware(aes))
+    return aes_impl::hw::ctr_xor(aes_impl::Access::round_keys(aes),
+                                 aes_impl::Access::rounds(aes), j0, in.data(),
+                                 in.size(), out);
+  uint8_t counter[16];
+  std::memcpy(counter, j0, 16);
+  ctr_xor(aes, counter, in, out);
+}
+
 Block compute_tag_block(const Aes& aes, BytesView nonce12, BytesView aad,
                         BytesView ciphertext) {
   // H = AES_K(0^128)
   uint8_t zero[16] = {0};
   uint8_t h_bytes[16];
   aes.encrypt_block(zero, h_bytes);
-  const Block h = Block::from_bytes(h_bytes);
 
-  Ghash ghash(h);
-  ghash.update(aad);
-  ghash.update(ciphertext);
-  Block lengths;
-  lengths.hi = static_cast<uint64_t>(aad.size()) * 8;
-  lengths.lo = static_cast<uint64_t>(ciphertext.size()) * 8;
-  ghash.absorb(lengths);
-  const Block s = ghash.digest();
+  Block s;
+  if (on_hardware(aes)) {
+    uint8_t s_bytes[16];
+    aes_impl::hw::ghash(h_bytes, aad, ciphertext, s_bytes);
+    s = Block::from_bytes(s_bytes);
+  } else {
+    Ghash ghash(Block::from_bytes(h_bytes));
+    ghash.update(aad);
+    ghash.update(ciphertext);
+    Block lengths;
+    lengths.hi = static_cast<uint64_t>(aad.size()) * 8;
+    lengths.lo = static_cast<uint64_t>(ciphertext.size()) * 8;
+    ghash.absorb(lengths);
+    s = ghash.digest();
+  }
 
   // J0 = nonce || 0^31 || 1 ; tag = AES_K(J0) xor S
   uint8_t j0[16] = {0};
@@ -117,10 +141,10 @@ void gcm_seal_into(const Aes& aes, BytesView nonce12, BytesView aad,
   const size_t base = out->size();
   out->resize(base + plaintext.size() + kGcmTagSize);
   uint8_t* dst = out->data() + base;
-  uint8_t counter[16] = {0};
-  std::memcpy(counter, nonce12.data(), kGcmNonceSize);
-  counter[15] = 1;  // J0; data blocks start at inc32(J0)
-  ctr_xor(aes, counter, plaintext, dst);
+  uint8_t j0[16] = {0};
+  std::memcpy(j0, nonce12.data(), kGcmNonceSize);
+  j0[15] = 1;  // data blocks start at inc32(J0)
+  gcm_ctr(aes, j0, plaintext, dst);
 
   const Block tag =
       compute_tag_block(aes, nonce12, aad, BytesView(dst, plaintext.size()));
@@ -149,10 +173,10 @@ Result<Bytes> gcm_open(const Aes& aes, BytesView nonce12, BytesView aad,
     return err(Code::kCryptoError, "GCM tag mismatch");
 
   Bytes out(ct_len);
-  uint8_t counter[16] = {0};
-  std::memcpy(counter, nonce12.data(), kGcmNonceSize);
-  counter[15] = 1;
-  ctr_xor(aes, counter, ciphertext, out.data());
+  uint8_t j0[16] = {0};
+  std::memcpy(j0, nonce12.data(), kGcmNonceSize);
+  j0[15] = 1;
+  gcm_ctr(aes, j0, ciphertext, out.data());
   return out;
 }
 

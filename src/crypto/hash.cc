@@ -22,7 +22,8 @@ class Sha1Ctx final : public HashCtx {
   void update(BytesView data) override {
     total_ += data.size();
     size_t off = 0;
-    if (buf_len_ > 0) {
+    // An empty view may have a null data(), which memcpy must not see.
+    if (buf_len_ > 0 && !data.empty()) {
       const size_t take = std::min<size_t>(64 - buf_len_, data.size());
       std::memcpy(buf_ + buf_len_, data.data(), take);
       buf_len_ += take;
@@ -140,7 +141,8 @@ class Sha256Ctx final : public HashCtx {
   void update(BytesView data) override {
     total_ += data.size();
     size_t off = 0;
-    if (buf_len_ > 0) {
+    // An empty view may have a null data(), which memcpy must not see.
+    if (buf_len_ > 0 && !data.empty()) {
       const size_t take = std::min<size_t>(64 - buf_len_, data.size());
       std::memcpy(buf_ + buf_len_, data.data(), take);
       buf_len_ += take;
@@ -276,7 +278,8 @@ class Sha512Ctx final : public HashCtx {
   void update(BytesView data) override {
     total_ += data.size();
     size_t off = 0;
-    if (buf_len_ > 0) {
+    // An empty view may have a null data(), which memcpy must not see.
+    if (buf_len_ > 0 && !data.empty()) {
       const size_t take = std::min<size_t>(128 - buf_len_, data.size());
       std::memcpy(buf_ + buf_len_, data.data(), take);
       buf_len_ += take;

@@ -1,15 +1,27 @@
 #include <gtest/gtest.h>
 
+#include "aes_paths.h"
 #include "common/rng.h"
 #include "crypto/aes.h"
 
 namespace qtls {
 namespace {
 
-TEST(Aes, Fips197Aes128Vector) {
+using aes_impl::Path;
+
+// FIPS-197 Appendix C vectors, on every implementation this CPU runs.
+class AesKat : public ::testing::TestWithParam<Path> {};
+
+INSTANTIATE_TEST_SUITE_P(Paths, AesKat,
+                         ::testing::ValuesIn(testutil::runnable_aes_paths()),
+                         [](const auto& info) {
+                           return testutil::aes_path_name(info.param);
+                         });
+
+TEST_P(AesKat, Fips197Aes128Vector) {
   const Bytes key = from_hex("000102030405060708090a0b0c0d0e0f");
   const Bytes pt = from_hex("00112233445566778899aabbccddeeff");
-  Aes aes(key);
+  const Aes aes = aes_impl::Access::make(key, GetParam());
   uint8_t ct[16];
   aes.encrypt_block(pt.data(), ct);
   EXPECT_EQ(to_hex(BytesView(ct, 16)), "69c4e0d86a7b0430d8cdb78070b4c55a");
@@ -18,14 +30,17 @@ TEST(Aes, Fips197Aes128Vector) {
   EXPECT_EQ(to_hex(BytesView(back, 16)), to_hex(pt));
 }
 
-TEST(Aes, Fips197Aes256Vector) {
+TEST_P(AesKat, Fips197Aes256Vector) {
   const Bytes key =
       from_hex("000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f");
   const Bytes pt = from_hex("00112233445566778899aabbccddeeff");
-  Aes aes(key);
+  const Aes aes = aes_impl::Access::make(key, GetParam());
   uint8_t ct[16];
   aes.encrypt_block(pt.data(), ct);
   EXPECT_EQ(to_hex(BytesView(ct, 16)), "8ea2b7ca516745bfeafc49904b496089");
+  uint8_t back[16];
+  aes.decrypt_block(ct, back);
+  EXPECT_EQ(to_hex(BytesView(back, 16)), to_hex(pt));
 }
 
 TEST(Aes, RejectsBadKeySize) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <thread>
 
 #include "common/bytes.h"
@@ -224,6 +225,20 @@ TEST(SpscRing, PushPopOrder) {
     EXPECT_EQ(*v, i);
   }
   EXPECT_FALSE(ring.try_pop().has_value());
+}
+
+TEST(SpscRing, FailedPushLeavesMoveOnlyValueIntact) {
+  SpscRing<std::unique_ptr<int>> ring(2);
+  EXPECT_TRUE(ring.try_push(std::make_unique<int>(1)));
+  EXPECT_TRUE(ring.try_push(std::make_unique<int>(2)));
+  auto value = std::make_unique<int>(3);
+  EXPECT_FALSE(ring.try_push(std::move(value)));  // full
+  ASSERT_NE(value, nullptr);
+  EXPECT_EQ(*value, 3);
+  ASSERT_TRUE(ring.try_pop().has_value());
+  EXPECT_TRUE(ring.try_push(std::move(value)));
+  EXPECT_EQ(**ring.try_pop(), 2);
+  EXPECT_EQ(**ring.try_pop(), 3);
 }
 
 TEST(SpscRing, CapacityRoundsToPow2) {

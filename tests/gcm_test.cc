@@ -1,31 +1,96 @@
 #include <gtest/gtest.h>
 
+#include "aes_paths.h"
 #include "common/rng.h"
 #include "crypto/gcm.h"
 
 namespace qtls {
 namespace {
 
-// NIST SP 800-38D / McGrew-Viega test case 1: empty plaintext, empty AAD.
-TEST(Gcm, NistTestCase1) {
-  const Bytes key(16, 0x00);
-  const Bytes iv(12, 0x00);
-  const Bytes sealed = gcm_seal(key, iv, {}, {});
-  ASSERT_EQ(sealed.size(), kGcmTagSize);
-  EXPECT_EQ(to_hex(sealed), "58e2fccefa7e3061367f1d57a4e7455a");
+using aes_impl::Path;
+
+// NIST SP 800-38D / McGrew-Viega known answers, on every implementation
+// this CPU runs.
+class GcmKat : public ::testing::TestWithParam<Path> {
+ protected:
+  // Seals, checks ciphertext || tag against the expected hex, and opens the
+  // expected bytes back to the plaintext.
+  void expect_kat(BytesView key, BytesView iv, BytesView aad, BytesView pt,
+                  const std::string& ct_hex, const std::string& tag_hex) {
+    const Aes aes = aes_impl::Access::make(key, GetParam());
+    const Bytes sealed = gcm_seal(aes, iv, aad, pt);
+    ASSERT_EQ(sealed.size(), pt.size() + kGcmTagSize);
+    EXPECT_EQ(to_hex(BytesView(sealed.data(), pt.size())), ct_hex);
+    EXPECT_EQ(to_hex(BytesView(sealed.data() + pt.size(), kGcmTagSize)),
+              tag_hex);
+    auto opened = gcm_open(aes, iv, aad, from_hex(ct_hex + tag_hex));
+    ASSERT_TRUE(opened.is_ok());
+    EXPECT_EQ(opened.value(), Bytes(pt.begin(), pt.end()));
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(Paths, GcmKat,
+                         ::testing::ValuesIn(testutil::runnable_aes_paths()),
+                         [](const auto& info) {
+                           return testutil::aes_path_name(info.param);
+                         });
+
+// Test case 1: empty plaintext, empty AAD.
+TEST_P(GcmKat, NistTestCase1) {
+  expect_kat(Bytes(16, 0x00), Bytes(12, 0x00), {}, {}, "",
+             "58e2fccefa7e3061367f1d57a4e7455a");
 }
 
 // Test case 2: one zero block.
-TEST(Gcm, NistTestCase2) {
-  const Bytes key(16, 0x00);
-  const Bytes iv(12, 0x00);
-  const Bytes pt(16, 0x00);
-  const Bytes sealed = gcm_seal(key, iv, {}, pt);
-  ASSERT_EQ(sealed.size(), 32u);
-  EXPECT_EQ(to_hex(BytesView(sealed.data(), 16)),
-            "0388dace60b6a392f328c2b971b2fe78");
-  EXPECT_EQ(to_hex(BytesView(sealed.data() + 16, 16)),
-            "ab6e47d42cec13bdf53a67b21257bddf");
+TEST_P(GcmKat, NistTestCase2) {
+  expect_kat(Bytes(16, 0x00), Bytes(12, 0x00), {}, Bytes(16, 0x00),
+             "0388dace60b6a392f328c2b971b2fe78",
+             "ab6e47d42cec13bdf53a67b21257bddf");
+}
+
+// Test cases 3/4 (AES-128) and 15/16 (AES-256) share IV and plaintext;
+// 4 and 16 drop the last 4 plaintext bytes and add AAD.
+const Bytes kKatKey128 = from_hex("feffe9928665731c6d6a8f9467308308");
+const Bytes kKatIv = from_hex("cafebabefacedbaddecaf888");
+const Bytes kKatPlaintext = from_hex(
+    "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72"
+    "1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b391aafd255");
+const Bytes kKatAad = from_hex("feedfacedeadbeeffeedfacedeadbeefabaddad2");
+const std::string kTc3Ciphertext =
+    "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e"
+    "21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091473f5985";
+const std::string kTc15Ciphertext =
+    "522dc1f099567d07f47f37a32a84427d643a8cdcbfe5c0c97598a2bd2555d1aa"
+    "8cb08e48590dbb3da7b08b1056828838c5f61e6393ba7a0abcc9f662898015ad";
+
+Bytes kat_key256() {
+  Bytes key = kKatKey128;
+  append(key, kKatKey128);
+  return key;
+}
+
+BytesView first60(const Bytes& b) { return BytesView(b.data(), 60); }
+
+TEST_P(GcmKat, NistTestCase3) {
+  expect_kat(kKatKey128, kKatIv, {}, kKatPlaintext, kTc3Ciphertext,
+             "4d5c2af327cd64a62cf35abd2ba6fab4");
+}
+
+TEST_P(GcmKat, NistTestCase4) {
+  expect_kat(kKatKey128, kKatIv, kKatAad, first60(kKatPlaintext),
+             kTc3Ciphertext.substr(0, 120),
+             "5bc94fbc3221a5db94fae95ae7121a47");
+}
+
+TEST_P(GcmKat, NistTestCase15) {
+  expect_kat(kat_key256(), kKatIv, {}, kKatPlaintext, kTc15Ciphertext,
+             "b094dac5d93471bdec1a502270e3cc6c");
+}
+
+TEST_P(GcmKat, NistTestCase16) {
+  expect_kat(kat_key256(), kKatIv, kKatAad, first60(kKatPlaintext),
+             kTc15Ciphertext.substr(0, 120),
+             "76fc6ece0f4e1768cddf8853bb2d551b");
 }
 
 TEST(Gcm, RoundTripVariousSizes) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -68,6 +69,20 @@ TEST(MpscRing, MoveOnlyPayload) {
   auto v = ring.try_pop();
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(**v, 7);
+}
+
+TEST(MpscRing, FailedPushLeavesMoveOnlyValueIntact) {
+  MpscRing<std::unique_ptr<int>> ring(2);
+  EXPECT_TRUE(ring.try_push(std::make_unique<int>(1)));
+  EXPECT_TRUE(ring.try_push(std::make_unique<int>(2)));
+  auto value = std::make_unique<int>(3);
+  EXPECT_FALSE(ring.try_push(std::move(value)));  // full
+  ASSERT_NE(value, nullptr);
+  EXPECT_EQ(*value, 3);
+  ASSERT_TRUE(ring.try_pop().has_value());
+  EXPECT_TRUE(ring.try_push(std::move(value)));
+  EXPECT_EQ(**ring.try_pop(), 2);
+  EXPECT_EQ(**ring.try_pop(), 3);
 }
 
 // Multiple producers hammer a small ring while one consumer drains it; every

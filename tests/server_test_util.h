@@ -23,8 +23,11 @@ inline client::ConnectFn socketpair_connector(Worker* worker) {
   };
 }
 
-// Runs until every client finished or the wall deadline passes. Returns true
-// when all clients finished.
+// Runs until every client finished and the worker is quiescent, or the wall
+// deadline passes. Returns true when both hold. Quiescent means no
+// connection is parked on an offload: a client is done once it has sent its
+// close_notify, but the server's decrypt of that record is itself an async
+// offload that can still be on the device.
 inline bool run_to_completion(Worker* worker, client::Pool* pool,
                               int deadline_seconds = 60) {
   const auto deadline = std::chrono::steady_clock::now() +
@@ -35,7 +38,7 @@ inline bool run_to_completion(Worker* worker, client::Pool* pool,
       if (c->step()) any_active = true;
     }
     worker->run_once(0);
-    if (!any_active) return true;
+    if (!any_active && worker->pending_async_connections() == 0) return true;
     if (std::chrono::steady_clock::now() > deadline) return false;
   }
 }
