@@ -23,12 +23,15 @@
 //  * circuit breaker per op class: K consecutive terminal device failures
 //    flip the class to the SoftwareProvider fallback; after a cooldown the
 //    next op re-probes the device and recovers offload on success.
+// Every op — a single one is a batch of one — walks the same ladder:
+// device lanes, then the remote tier (DESIGN.md §13), then software.
 #pragma once
 
 #include <atomic>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -131,12 +134,42 @@ struct QatEngineStats {
   uint64_t remote_breaker_closes = 0;
 };
 
-// Circuit-breaker state, per op class (QAT_Engine's sw-fallback mirror).
+// Circuit-breaker state (observability + tests).
 enum class BreakerState : uint8_t { kClosed, kOpen, kHalfOpen };
 
-// Defined in qat_engine.cc; derives QatEngineProvider::OpStateBase.
-template <typename T>
-struct TypedOpState;
+// The circuit breaker behind every tier of the offload ladder: per op class
+// (QAT_Engine's sw-fallback switch), per device lane and for the remote
+// tier. `threshold` consecutive failures open it; once the reopen time has
+// passed, exactly one caller wins the half-open probe, whose outcome closes
+// it or reopens it for another cooldown. Each use passes its own threshold
+// and cooldown.
+class Breaker {
+ public:
+  BreakerState state() const {
+    return static_cast<BreakerState>(state_.load(std::memory_order_acquire));
+  }
+  // Open -> half-open for exactly one caller, once the reopen time has
+  // passed or `skip_cooldown` says the world changed (a device re-add).
+  bool try_probe(bool skip_cooldown = false);
+  // Closed, or this caller won the probe. One load on the happy path.
+  bool allow() { return state() == BreakerState::kClosed || try_probe(); }
+  // A probe that never reached its target returns to open, probe-able at
+  // once by the next caller.
+  void give_back();
+  // True when this success closed the breaker.
+  bool on_success();
+  // True when this failure opened it: a failed probe, or the
+  // `threshold`-th consecutive failure.
+  bool on_failure(int threshold, uint64_t cooldown_ms);
+  int failures() const {
+    return failures_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  std::atomic<uint8_t> state_{static_cast<uint8_t>(BreakerState::kClosed)};
+  std::atomic<int> failures_{0};
+  std::atomic<uint64_t> open_until_ns_{0};
+};
 
 // One device's worth of instances assigned to a provider — the unit the
 // per-device breaker and the migration path reason about.
@@ -147,19 +180,17 @@ struct DeviceInstanceSet {
 
 class QatEngineProvider : public CryptoProvider {
  public:
+  // One instance on one device, no topology.
   QatEngineProvider(qat::CryptoInstance* instance, QatEngineConfig config);
-  // §2.3: one process may be assigned multiple QAT instances from different
-  // endpoints to employ more computation engines. Requests round-robin
-  // across them; poll() drains all of them.
-  QatEngineProvider(std::vector<qat::CryptoInstance*> instances,
-                    QatEngineConfig config);
-  // Multi-device form (DESIGN.md §12): instance sets grouped by device,
-  // with `preferred_device` the worker's affine card. Submissions stay on
-  // the affine lane; a lane whose device is offline, breaker-tripped, or
+  // Instance sets grouped by device (§2.3: a process may hold instances on
+  // several endpoints; DESIGN.md §12: several cards), with
+  // `preferred_device` the worker's affine card. Requests round-robin
+  // across a lane's instances; poll() drains all of them. With more than
+  // one lane, a lane whose device is offline, breaker-tripped or
   // queue-deep spills to the shallowest healthy lane, and device failures
   // migrate the retry to another device instead of burning the class
-  // breaker. `topology` is non-owning and may be null (lanes still work;
-  // online-ness then comes only from the lane breakers).
+  // breaker. `topology` is non-owning and may be null; when set, its online
+  // flag gates every lane.
   QatEngineProvider(qat::DeviceTopology* topology, int preferred_device,
                     std::vector<DeviceInstanceSet> sets,
                     QatEngineConfig config);
@@ -219,9 +250,7 @@ class QatEngineProvider : public CryptoProvider {
 
   // Current breaker state for an op class (observability + tests).
   BreakerState breaker_state(qat::OpClass cls) const {
-    return static_cast<BreakerState>(
-        breakers_[static_cast<int>(cls)].state.load(
-            std::memory_order_acquire));
+    return breakers_[static_cast<int>(cls)].state();
   }
   // Ops registered for deadline tracking but not yet completed/expired.
   size_t pending_deadline_ops() const;
@@ -232,8 +261,7 @@ class QatEngineProvider : public CryptoProvider {
   size_t num_lanes() const { return lanes_.size(); }
   int lane_device(size_t lane) const { return lanes_[lane]->device_id; }
   BreakerState lane_breaker_state(size_t lane) const {
-    return static_cast<BreakerState>(
-        lanes_[lane]->breaker.state.load(std::memory_order_acquire));
+    return lanes_[lane]->breaker.state();
   }
   uint64_t lane_submitted(size_t lane) const {
     return lanes_[lane]->submitted.load(std::memory_order_relaxed);
@@ -249,29 +277,27 @@ class QatEngineProvider : public CryptoProvider {
     remote_ = backend;
   }
   remote::RemoteBackend* remote_backend() const { return remote_; }
-  BreakerState remote_breaker_state() const {
-    return static_cast<BreakerState>(
-        remote_breaker_.state.load(std::memory_order_acquire));
-  }
+  BreakerState remote_breaker_state() const { return remote_breaker_.state(); }
   // The GET /stats "remote" object: engine-side tier counters plus the
   // channel's own stats.
   std::string remote_json() const;
 
  private:
-  template <typename T>
-  friend struct TypedOpState;
-
-  // Type-erased base of an in-flight offload. `done` flips in the response
-  // callback; `abandoned` flips in the deadline sweep. Both the callback and
-  // the sweep run in poll() on the polling (worker) thread — the polled
+  // One hop of an op to the device or the remote tier. `stage` moves
+  // kInFlight -> kDone -> kSettled in the completion callback, or
+  // kInFlight -> kAbandoned in the deadline sweep. Both the device callback
+  // and the sweep run in poll() on the polling (worker) thread — the polled
   // delivery contract is what makes abandon-vs-late-response handling
   // race-free without a per-op lock. Deadlines are NOT supported with
   // kInterrupt delivery or an external polling thread.
-  struct OpStateBase {
-    std::atomic<bool> done{false};
-    std::atomic<bool> abandoned{false};  // deadline expired; drop late resp.
+  struct OpState {
+    std::atomic<uint8_t> stage{0};
     qat::CryptoStatus dev_status = qat::CryptoStatus::kSuccess;
-    asyncx::WaitCtx* wctx = nullptr;  // cleared/unused after abandonment
+    remote::RemoteStatus remote_status = remote::RemoteStatus::kChannelDown;
+    std::function<Result<Bytes>()> compute;  // the device runs this
+    // The device's result, or the remote response body.
+    Result<Bytes> result = Status(Code::kInternal, "not computed");
+    asyncx::WaitCtx* wctx = nullptr;  // the parked fiber's, else null
     uint64_t deadline_ns = 0;         // absolute steady-clock ns; 0 = none
     int cls = 0;                      // op class, for inflight accounting
     uint64_t req_id = 0;              // device request id (trace records)
@@ -279,12 +305,34 @@ class QatEngineProvider : public CryptoProvider {
     // resuming thread stamps fiber-resume and folds them into the global
     // per-stage histograms (obs/trace.h).
     obs::TraceStamps trace;
+
+    // Publish the completion and wake the waiter. kSettled comes after the
+    // notify: the waiter's WaitCtx must outlive it. The notify must not
+    // resume the waiter inline (WaitCtx callbacks queue the handler), or
+    // the waiter would wait on this very call.
+    void finish();
   };
 
-  struct ClassBreaker {
-    std::atomic<uint8_t> state{static_cast<uint8_t>(BreakerState::kClosed)};
-    std::atomic<int> consecutive_failures{0};
-    std::atomic<uint64_t> open_until_ns{0};
+  // One op travelling the ladder. A single op is a batch of one; a seal
+  // batch is a span of these.
+  struct Op {
+    Op(std::function<Result<Bytes>()> c, remote::RemoteOp r,
+       std::function<Bytes()> e)
+        : compute(std::move(c)), remote_op(r), encode(std::move(e)) {}
+
+    // Self-contained computation: the device runs it on an engine thread,
+    // the last rung runs it inline — that IS the SoftwareProvider path.
+    std::function<Result<Bytes>()> compute;
+    // How the op travels the wire (DESIGN.md §13).
+    remote::RemoteOp remote_op;
+    std::function<Bytes()> encode;
+
+    Result<Bytes> result = Status(Code::kInternal, "not computed");
+    bool settled = false;  // some tier produced `result`
+    bool retry = false;    // the device failed it with attempts left
+    int attempts = 0;      // device attempts made
+    int device = -1;       // device of the last attempt
+    std::shared_ptr<OpState> hop;  // the hop in flight, if any
   };
 
   // One device's lane: its instances, a round-robin cursor, and a breaker
@@ -292,89 +340,58 @@ class QatEngineProvider : public CryptoProvider {
   // flip the lane unavailable so submissions spill to surviving devices
   // (never to software while another lane is up); the half-open probe
   // rebinds the device after the cooldown, or immediately after a topology
-  // re_add (generation bump).
+  // re_add (generation bump). With one lane the breaker stays out of it.
   struct DeviceLane {
     int device_id = 0;
     std::vector<qat::CryptoInstance*> instances;
     std::atomic<size_t> rr{0};
-    ClassBreaker breaker;
+    Breaker breaker;
     std::atomic<uint64_t> submitted{0};
     // Topology generation this lane last observed; a mismatch on a tripped
     // lane re-probes without waiting out the cooldown.
     std::atomic<uint64_t> seen_generation{0};
   };
 
-  // Generic offload runner. `compute` executes on a QAT engine thread; the
-  // calling thread blocks (kSync) or fiber-pauses (kAsync) until the
-  // response callback fires. Handles deadline expiry, bounded retry on
-  // transient device errors, and breaker-driven software fallback (running
-  // `compute` on the calling thread IS the software path — the closures are
-  // self-contained).
-  // How an op travels the wire (DESIGN.md §13): which RemoteOp it is, how
-  // to build the request body, and how to decode a success payload.
-  template <typename T>
-  struct RemoteSpec {
-    remote::RemoteOp op = remote::RemoteOp::kPrfTls12;
-    std::function<Bytes()> encode;
-    std::function<Result<T>(BytesView)> decode;
-  };
+  // --- the offload ladder -------------------------------------------------
+  // A single op: a batch of one over a stack slot.
+  Result<Bytes> offload(qat::OpKind kind, remote::RemoteOp remote_op,
+                        std::function<Result<Bytes>()> compute,
+                        std::function<Bytes()> encode);
+  // The tier walk every op takes: device lanes (behind the class breaker),
+  // then the remote tier, then the last step — never skipping a live tier.
+  void run(qat::OpKind kind, std::span<Op> ops);
+  // One device attempt: the span rides one lane in one submit_batch()
+  // dispatch; waits, then settles each record or marks it for a retry.
+  // Submits nothing when no lane is available.
+  void submit_to_device(qat::OpKind kind, std::span<Op> ops);
+  // One remote hop for every unsettled record: N submits, one flush, one
+  // wait. Records the tier cannot settle stay unsettled.
+  void submit_to_remote(qat::OpClass cls, std::span<Op> ops);
+  // Software for every record no tier settled — or kUnavailable when the
+  // device tier was tried and sw_fallback_on_device_error is off.
+  void last_step(std::span<Op> ops, bool device_tried);
+  // Park (async) or run `spin` (blocking) until no hop is in flight.
+  template <typename Spin>
+  void wait_hops(std::span<Op> ops, bool park, Spin spin);
+  // The fiber to park on, or null when this call blocks.
+  asyncx::AsyncJob* parkable_job() const;
 
-  // `rspec` (optional) describes how the op travels the remote tier; when
-  // set, the ladder tries QAT lanes, then the remote backend, then inline
-  // software — never skipping a live tier.
-  template <typename T>
-  Result<T> offload(qat::OpKind kind, std::function<Result<T>()> compute,
-                    const RemoteSpec<T>* rspec = nullptr);
-
-  // Batched variant for record seals: submits all computes as one device
-  // batch, waits for every response, appends each result to outs[i]. Items
-  // the device fails are retried through the single-op offload() runner
-  // (which owns the backoff/breaker/fallback semantics); abandoned items
-  // (deadline) fall back to inline compute like the single path.
-  Status run_seal_batch(
-      const std::vector<std::function<Result<Bytes>()>>& computes,
-      const std::vector<Bytes*>& outs,
-      const std::vector<RemoteSpec<Bytes>>* rspecs = nullptr);
-
-  // Circuit breaker (cheap on the happy path: one relaxed load per op).
-  bool offload_allowed(qat::OpClass cls);
-  void breaker_on_success(qat::OpClass cls);
-  void breaker_on_failure(qat::OpClass cls);
-
-  // --- remote offload tier (DESIGN.md §13) --------------------------------
-  // Run one op through the remote backend. Returns true when the tier
-  // settled the op (*out holds the result — possibly a deterministic
-  // compute error, which is terminal exactly like a local kComputeError);
-  // false when the tier was unavailable, refused, expired, or died, in
-  // which case the caller continues down the ladder to software.
-  template <typename T>
-  bool try_remote(qat::OpClass cls, const RemoteSpec<T>& spec, Result<T>* out);
-  // Remote half of run_seal_batch: ships every spec as ONE frame, settles
-  // per record (remote-failed records fall back to the inline compute).
-  // False when the tier was unavailable before anything was submitted.
-  bool try_remote_seal_batch(
-      qat::OpClass cls, const std::vector<RemoteSpec<Bytes>>& specs,
-      const std::vector<std::function<Result<Bytes>()>>& computes,
-      const std::vector<Bytes*>& outs, Status* result);
-  // Gate mirroring offload_allowed: channel alive and tier breaker closed
-  // (or this op wins the half-open probe CAS).
-  bool remote_tier_available();
-  // Passive form for the charge decision: a live remote tier shields the
-  // per-class breaker the same way a surviving lane does. No CAS — this
-  // must not consume the half-open probe.
+  // Breaker outcomes, each with its use's counters and log line.
+  void class_outcome(qat::OpClass cls, bool ok);
+  void lane_outcome(DeviceLane& lane, bool ok);
+  void remote_outcome(bool ok);
+  // Passive check for the class charge: a live remote tier shields the
+  // per-class breaker the same way a surviving lane does. A half-open tier
+  // counts as live: its probe may restore it.
   bool remote_tier_live() const;
-  void remote_on_success();
-  void remote_on_failure();
 
-  // --- multi-device lanes -------------------------------------------------
-  // Whether submissions may target this lane right now: device online (per
-  // the topology), breaker closed — or open with the cooldown elapsed / the
-  // topology generation moved, in which case the caller wins the half-open
-  // probe.
-  bool lane_allowed(DeviceLane& lane);
+  // --- device lanes -------------------------------------------------------
+  bool online(const DeviceLane& lane) const {
+    return !topology_ || topology_->online(lane.device_id);
+  }
   // Win the half-open probe on a tripped lane when its cooldown elapsed or
-  // the topology generation moved (re_add). Returns the lane on success.
-  DeviceLane* try_probe_lane(DeviceLane& lane);
+  // the topology generation moved (re_add).
+  bool try_probe_lane(DeviceLane& lane);
   // This provider's share of the lane's device queue (spillover signal).
   size_t lane_depth(const DeviceLane& lane) const;
   // Pick the lane for a submission: the affine lane unless it is
@@ -383,25 +400,21 @@ class QatEngineProvider : public CryptoProvider {
   // spill threshold. Null when no lane is currently allowed.
   DeviceLane* choose_lane(int exclude_device);
   qat::CryptoInstance* lane_instance(DeviceLane& lane);
-  void lane_on_success(DeviceLane& lane);
-  void lane_on_failure(DeviceLane& lane);
-  // True when some OTHER allowed lane exists — the migration guard that
+  // True when some OTHER lane could take the op — the migration guard that
   // keeps one dead device from tripping the per-class breaker.
-  bool other_lane_available(int device_id);
+  bool other_lane_available(int device_id) const;
 
-  // Expire past-deadline ops: mark abandoned, release the inflight slot,
-  // wake the waiting fiber. Called from poll().
+  // Expire an in-flight device hop: mark it abandoned, release the inflight
+  // slot, wake the waiter.
+  void expire(OpState& s);
+  // Expire past-deadline ops. Called from poll().
   void sweep_deadlines(uint64_t now);
-
-  static uint64_t steady_now_ns();
 
   // Curve -> modelled op kind.
   static qat::OpKind ec_op_kind(CurveId curve);
 
   std::vector<qat::CryptoInstance*> instances_;  // flattened, for poll()
-  std::atomic<size_t> next_instance_{0};
-  // Per-device lanes (heap-allocated: atomics are immovable). The legacy
-  // constructors build one lane with device_id 0.
+  // Per-device lanes (heap-allocated: atomics are immovable).
   std::vector<std::unique_ptr<DeviceLane>> lanes_;
   qat::DeviceTopology* topology_ = nullptr;  // non-owning; may be null
   int preferred_device_ = 0;
@@ -411,15 +424,15 @@ class QatEngineProvider : public CryptoProvider {
   std::atomic<uint64_t> next_request_id_{1};
   std::atomic<uint64_t> engine_drbg_nonce_{1};
   QatEngineStats stats_;
-  ClassBreaker breakers_[qat::kNumOpClasses];
+  Breaker breakers_[qat::kNumOpClasses];
   // Remote tier: non-owning backend pointer + the tier breaker. One breaker
   // for the whole tier (not per class): the failure domain is the channel.
   remote::RemoteBackend* remote_ = nullptr;
-  ClassBreaker remote_breaker_;
+  Breaker remote_breaker_;
   // Deadline registry (async ops only; sync ops check the clock in their
   // own spin loop). Touched only when op_deadline_us != 0.
   mutable std::mutex pending_mu_;
-  std::vector<std::shared_ptr<OpStateBase>> pending_;
+  std::vector<std::shared_ptr<OpState>> pending_;
 };
 
 }  // namespace qtls::engine

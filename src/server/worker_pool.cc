@@ -81,10 +81,14 @@ WorkerPool::~WorkerPool() { stop(); }
 Status WorkerPool::build_cell_engine_ctx(int i, Cell* cell) {
   engine::QatEngineConfig ecfg = options_.engine_config;
   ecfg.drbg_seed ^= static_cast<uint64_t>(i + 1) * 0x9e3779b97f4a7c15ULL;
+  // Instances grouped by device into per-lane sets; a device pool is one
+  // set on device 0.
+  std::vector<engine::DeviceInstanceSet> sets;
+  int preferred = 0;
   if (topology_) {
     // Topology pool: one placement decision per instance (affine device
-    // unless offline/deep), grouped by device into per-lane sets.
-    const int preferred =
+    // unless offline/deep).
+    preferred =
         options_.worker_affinity.empty()
             ? topology_->preferred_device(i, options_.workers)
             : options_.worker_affinity[static_cast<size_t>(i) %
@@ -94,7 +98,6 @@ Status WorkerPool::build_cell_engine_ctx(int i, Cell* cell) {
         i, options_.workers, options_.instances_per_worker);
     if (placements.empty())
       return err(Code::kResourceExhausted, "no QAT instances left");
-    std::vector<engine::DeviceInstanceSet> sets;
     for (const auto& p : placements) {
       auto it = std::find_if(sets.begin(), sets.end(),
                              [&](const engine::DeviceInstanceSet& s) {
@@ -106,18 +109,16 @@ Status WorkerPool::build_cell_engine_ctx(int i, Cell* cell) {
       }
       it->instances.push_back(p.instance);
     }
-    cell->engine = std::make_unique<engine::QatEngineProvider>(
-        topology_, preferred, std::move(sets), ecfg);
   } else {
-    std::vector<qat::CryptoInstance*> instances;
+    sets.push_back(engine::DeviceInstanceSet{0, {}});
     for (int k = 0; k < options_.instances_per_worker; ++k) {
       qat::CryptoInstance* inst = device_->allocate_instance();
       if (!inst) return err(Code::kResourceExhausted, "no QAT instances left");
-      instances.push_back(inst);
+      sets.front().instances.push_back(inst);
     }
-    cell->engine =
-        std::make_unique<engine::QatEngineProvider>(std::move(instances), ecfg);
   }
+  cell->engine = std::make_unique<engine::QatEngineProvider>(
+      topology_, preferred, std::move(sets), ecfg);
 
   // Remote tier (DESIGN.md §13): each worker gets its own channel so a
   // single slow worker cannot head-of-line block the others' batches.

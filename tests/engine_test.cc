@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <thread>
+#include <vector>
 
 #include "asyncx/job.h"
 #include "crypto/keystore.h"
@@ -337,6 +340,39 @@ TEST_F(EngineTest, EcdheOffloadAgreesWithSoftware) {
   ASSERT_TRUE(s1.is_ok());
   ASSERT_TRUE(s2.is_ok());
   EXPECT_EQ(s1.value(), s2.value());
+}
+
+// The half-open election: however many callers race an open breaker whose
+// reopen time has passed, exactly one becomes the probe. A probe given back
+// (it never reached its target) reopens the election at once.
+TEST(BreakerTest, ExactlyOneOfEightThreadsWinsTheHalfOpenProbe) {
+  constexpr int kThreads = 8;
+  for (int round = 0; round < 20; ++round) {
+    Breaker b;
+    ASSERT_TRUE(b.on_failure(/*threshold=*/1, /*cooldown_ms=*/0));
+    ASSERT_EQ(b.state(), BreakerState::kOpen);
+
+    std::atomic<bool> go{false};
+    std::atomic<int> wins{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&] {
+        while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+        if (b.allow()) wins.fetch_add(1);
+      });
+    }
+    go.store(true, std::memory_order_release);
+    for (auto& t : threads) t.join();
+    EXPECT_EQ(wins.load(), 1) << "round " << round;
+    EXPECT_EQ(b.state(), BreakerState::kHalfOpen);
+
+    b.give_back();
+    EXPECT_EQ(b.state(), BreakerState::kOpen);
+    EXPECT_TRUE(b.allow());
+    EXPECT_FALSE(b.allow());  // the new probe is in flight
+    EXPECT_TRUE(b.on_success());
+    EXPECT_EQ(b.state(), BreakerState::kClosed);
+  }
 }
 
 }  // namespace

@@ -77,7 +77,7 @@ TEST(MultiInstance, RequestsSpreadAcrossEndpoints) {
 
   engine::QatEngineConfig qcfg;
   qcfg.offload_mode = engine::OffloadMode::kSync;
-  engine::QatEngineProvider qat({a, b}, qcfg);
+  engine::QatEngineProvider qat(nullptr, 0, {{0, {a, b}}}, qcfg);
 
   for (int i = 0; i < 6; ++i) {
     auto out = qat.prf_tls12(HashAlg::kSha256, to_bytes("k"), "l",
@@ -98,7 +98,7 @@ TEST(MultiInstance, AsyncOffloadsUseAllInstances) {
                                                  device.allocate_instance(),
                                                  device.allocate_instance()};
   engine::QatEngineConfig qcfg;
-  engine::QatEngineProvider qat(instances, qcfg);
+  engine::QatEngineProvider qat(nullptr, 0, {{0, instances}}, qcfg);
   const RsaPrivateKey& key = test_rsa1024();
 
   constexpr int kJobs = 6;

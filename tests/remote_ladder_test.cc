@@ -1,10 +1,11 @@
 // Three-tier fallback-ladder matrix (DESIGN.md §13): QAT lane state (up /
-// failing / hot-removed) crossed with remote channel state (up / slow /
-// dead), asserting which tier serves each op and — the load-bearing
-// invariant — that the per-class breaker is charged ONLY when no higher
-// tier is available: a live remote channel shields the class exactly like
-// a surviving device lane, and the no-lane path (device hot-removed)
-// never charges it at all. Also covers the remote_offload{} conf block.
+// failing / dropping / hot-removed) crossed with remote channel state (up /
+// slow / dead), each run once as single ops and once as one seal batch,
+// asserting which tier serves each op and — the load-bearing invariant —
+// that the per-class breaker is charged ONLY when no higher tier is
+// available: a live remote channel shields the class exactly like a
+// surviving device lane, and the no-lane path (device hot-removed) never
+// charges it at all. Also covers the remote_offload{} conf block.
 // Select with `ctest -L remote`.
 #include <gtest/gtest.h>
 
@@ -41,7 +42,7 @@ Bytes expect_prf(int i) {
   return r.value();
 }
 
-enum class QatState { kUp, kFailing, kRemoved };
+enum class QatState { kUp, kFailing, kDropping, kRemoved };
 enum class RemoteState { kUp, kSlow, kDead };
 
 enum class Tier { kQat, kRemote, kSw };
@@ -60,6 +61,7 @@ const char* name(QatState s) {
   switch (s) {
     case QatState::kUp: return "qat-up";
     case QatState::kFailing: return "qat-failing";
+    case QatState::kDropping: return "qat-dropping";
     case QatState::kRemoved: return "qat-removed";
   }
   return "?";
@@ -75,8 +77,25 @@ const char* name(RemoteState s) {
 
 constexpr int kOps = 3;
 
-void run_case(const MatrixCase& c) {
-  SCOPED_TRACE(std::string(name(c.qat)) + " x " + name(c.remote));
+// The batch column: kOps AES-GCM records sealed in one aead_seal_batch().
+struct SealRecords {
+  Bytes key = Bytes(16, 0x42);
+  Bytes nonces[kOps], aads[kOps], plaintexts[kOps], outs[kOps];
+  std::vector<engine::AeadSealJob> jobs;
+
+  SealRecords() {
+    for (int i = 0; i < kOps; ++i) {
+      nonces[i] = Bytes(12, static_cast<uint8_t>(i));
+      aads[i] = to_bytes("aad" + std::to_string(i));
+      plaintexts[i] = to_bytes("record " + std::to_string(i));
+      jobs.push_back({nonces[i], aads[i], plaintexts[i], &outs[i]});
+    }
+  }
+};
+
+void run_case(const MatrixCase& c, bool batch) {
+  SCOPED_TRACE(std::string(name(c.qat)) + " x " + name(c.remote) +
+               (batch ? " (seal batch)" : " (single ops)"));
 
   engine::QatEngineConfig ecfg;
   ecfg.offload_mode = engine::OffloadMode::kSync;
@@ -87,11 +106,13 @@ void run_case(const MatrixCase& c) {
   ecfg.remote_op_deadline_us = 2'000;       // bounds the kSlow waits
   ecfg.remote_breaker_threshold = 100;      // tier breaker out of the way
   ecfg.remote_breaker_cooldown_ms = 60'000;
+  // A dropped response only ends at its deadline.
+  if (c.qat == QatState::kDropping) ecfg.op_deadline_us = 3'000;
 
-  // QAT side. kUp/kFailing use the standalone single-device shape, where a
-  // terminal failure reaches the retries-exhausted ladder point; kRemoved
-  // uses a one-device topology whose device is hot-removed, exercising the
-  // no-lane path instead.
+  // QAT side. kUp/kFailing/kDropping use the standalone single-device
+  // shape, where a terminal failure reaches the retries-exhausted (or
+  // deadline-expired) ladder point; kRemoved uses a one-device topology
+  // whose device is hot-removed, exercising the no-lane path instead.
   qat::FaultPlan plan(0x1adde5);
   std::unique_ptr<qat::QatDevice> device;
   std::unique_ptr<qat::DeviceTopology> topo;
@@ -120,6 +141,11 @@ void run_case(const MatrixCase& c) {
     eng = std::make_unique<engine::QatEngineProvider>(
         device->allocate_instance(), ecfg);
     if (c.qat == QatState::kFailing) plan.trigger_reset();
+    if (c.qat == QatState::kDropping) {
+      qat::FaultRates drop;
+      drop.drop_rate = 1.0;
+      plan.set_rates_all(drop);
+    }
   }
 
   // Remote side: a loopback server; kSlow parks frames without answering
@@ -131,10 +157,19 @@ void run_case(const MatrixCase& c) {
   if (c.remote == RemoteState::kDead) channel.kill();
   eng->set_remote_backend(&channel);
 
-  for (int i = 0; i < kOps; ++i) {
-    Result<Bytes> got = run_prf(*eng, i);
-    ASSERT_TRUE(got.is_ok()) << got.status().message();
-    EXPECT_EQ(got.value(), expect_prf(i));
+  if (batch) {
+    SealRecords got, want;
+    Status st = eng->aead_seal_batch(got.key, got.jobs);
+    ASSERT_TRUE(st.is_ok()) << st.message();
+    engine::SoftwareProvider sw;
+    ASSERT_TRUE(sw.aead_seal_batch(want.key, want.jobs).is_ok());
+    for (int i = 0; i < kOps; ++i) EXPECT_EQ(got.outs[i], want.outs[i]) << i;
+  } else {
+    for (int i = 0; i < kOps; ++i) {
+      Result<Bytes> got = run_prf(*eng, i);
+      ASSERT_TRUE(got.is_ok()) << got.status().message();
+      EXPECT_EQ(got.value(), expect_prf(i));
+    }
   }
 
   const engine::QatEngineStats& st = eng->stats();
@@ -152,7 +187,8 @@ void run_case(const MatrixCase& c) {
       EXPECT_EQ(st.sw_fallbacks, static_cast<uint64_t>(kOps));
       break;
   }
-  EXPECT_EQ(eng->breaker_state(qat::OpClass::kPrf),
+  EXPECT_EQ(eng->breaker_state(batch ? qat::OpClass::kCipher
+                                     : qat::OpClass::kPrf),
             c.class_open ? engine::BreakerState::kOpen
                          : engine::BreakerState::kClosed);
   EXPECT_EQ(st.breaker_opens, c.breaker_opens);
@@ -187,6 +223,13 @@ TEST(RemoteLadderMatrix, TierChoiceAndBreakerCharging) {
       {QatState::kFailing, RemoteState::kSlow, Tier::kSw, false, 0, kOps,
        false},
       {QatState::kFailing, RemoteState::kDead, Tier::kSw, true, 1, 0, true},
+      // A device that swallows every response fails by deadline instead:
+      // the same ladder, the same charging.
+      {QatState::kDropping, RemoteState::kUp, Tier::kRemote, false, 0, 0,
+       false},
+      {QatState::kDropping, RemoteState::kSlow, Tier::kSw, false, 0, kOps,
+       false},
+      {QatState::kDropping, RemoteState::kDead, Tier::kSw, true, 1, 0, true},
       // A hot-removed device takes the no-lane path: the remote tier is
       // tried first, and the class breaker is NEVER charged — lane probes
       // own recovery, and a class flip would outlive the outage.
@@ -196,7 +239,11 @@ TEST(RemoteLadderMatrix, TierChoiceAndBreakerCharging) {
        false},
       {QatState::kRemoved, RemoteState::kDead, Tier::kSw, false, 0, 0, true},
   };
-  for (const MatrixCase& c : cases) run_case(c);
+  // A seal batch walks the same ladder as the same ops sent one at a time.
+  for (const MatrixCase& c : cases) {
+    run_case(c, /*batch=*/false);
+    run_case(c, /*batch=*/true);
+  }
 }
 
 // ------------------------------------------------ remote_offload{} conf --

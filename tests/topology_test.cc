@@ -221,6 +221,62 @@ INSTANTIATE_TEST_SUITE_P(
       return info.param.name;
     });
 
+// A class probe that finds no lane must give the probe back. Here the PRF
+// class wins its half-open probe while the only online device's lane is
+// tripped by asym failures; the op completes in software. Once the device
+// heals, PRF ops must return to it — a probe that never reached a device
+// must not leave the class half-open forever.
+TEST(TopologyFailover, ClassProbeWithNoLaneIsGivenBack) {
+  engine::QatEngineConfig ecfg;
+  ecfg.offload_mode = engine::OffloadMode::kSync;
+  ecfg.max_retries = 0;
+  ecfg.breaker_threshold = 2;
+  ecfg.breaker_cooldown_ms = 50;
+  TopoRig rig(/*devices=*/2, ecfg, /*preferred=*/0);
+  ASSERT_TRUE(rig.topo.hot_remove(1));
+  qat::FaultRates always_fail;
+  always_fail.error_rate = 1.0;
+  auto keygen = [&] { return rig.engine->ecdhe_keygen(CurveId::kP256); };
+
+  // Two failing PRF ops trip lane 0 and the PRF class.
+  rig.topo.fault_plan(0).set_rates(qat::OpKind::kPrfTls12, always_fail);
+  for (int i = 0; i < 2; ++i) ASSERT_TRUE(run_prf(*rig.engine, i).is_ok());
+  ASSERT_EQ(rig.engine->lane_breaker_state(0), engine::BreakerState::kOpen);
+  ASSERT_EQ(rig.engine->breaker_state(qat::OpClass::kPrf),
+            engine::BreakerState::kOpen);
+
+  // After the cooldown an asym op probes lane 0 and closes it...
+  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  ASSERT_TRUE(keygen().is_ok());
+  ASSERT_EQ(rig.engine->lane_breaker_state(0), engine::BreakerState::kClosed);
+
+  // ...and two failing asym ops trip it again.
+  rig.topo.fault_plan(0).set_rates(qat::OpKind::kEcP256, always_fail);
+  for (int i = 0; i < 2; ++i) ASSERT_TRUE(keygen().is_ok());
+  ASSERT_EQ(rig.engine->lane_breaker_state(0), engine::BreakerState::kOpen);
+
+  // The PRF class's cooldown has passed: this op wins its probe, finds no
+  // lane and completes in software.
+  ASSERT_TRUE(run_prf(*rig.engine, 2).is_ok());
+
+  // Heal the device; an asym op re-probes lane 0 and closes it.
+  rig.topo.fault_plan(0).set_rates_all(qat::FaultRates{});
+  std::this_thread::sleep_for(std::chrono::milliseconds(120));
+  ASSERT_TRUE(keygen().is_ok());
+  ASSERT_EQ(rig.engine->lane_breaker_state(0), engine::BreakerState::kClosed);
+
+  // PRF ops are back on the device and the PRF class is closed.
+  const uint64_t submitted = rig.engine->stats().submitted;
+  for (int i = 0; i < 5; ++i) {
+    auto r = run_prf(*rig.engine, 10 + i);
+    ASSERT_TRUE(r.is_ok());
+    EXPECT_EQ(r.value(), expect_prf(10 + i).value());
+  }
+  EXPECT_EQ(rig.engine->stats().submitted, submitted + 5);
+  EXPECT_EQ(rig.engine->breaker_state(qat::OpClass::kPrf),
+            engine::BreakerState::kClosed);
+}
+
 // ----------------------------------------- hot_remove/re_add under load ----
 
 TEST(TopologyFailoverE2E, HotRemoveUnderLoadLosesNothing) {
