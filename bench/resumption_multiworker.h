@@ -28,7 +28,7 @@ struct CrossWorkerResult {
 inline CrossWorkerResult run_cross_worker_resumption(
     const char* tag, int workers, bool session_tickets,
     double full_handshake_ratio, int clients, uint64_t requests_per_client) {
-  qat::QatDevice device;
+  qat::DeviceTopology topo{qat::TopologyConfig{}};
 
   server::WorkerPoolOptions options;
   options.workers = workers;
@@ -38,7 +38,7 @@ inline CrossWorkerResult run_cross_worker_resumption(
       tls::CipherSuite::kEcdheRsaWithAes128CbcSha};
   options.response_body_size = 512;
 
-  server::WorkerPool pool(&device, &test_rsa2048(), options);
+  server::WorkerPool pool(&topo, &test_rsa2048(), options);
   CrossWorkerResult out;
   if (!pool.start(0).is_ok()) {
     std::fprintf(stderr, "cross-worker bench: pool failed to start\n");

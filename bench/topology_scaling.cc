@@ -4,8 +4,8 @@
 //     sim::SimDeviceTopology at 1/2/4 devices. Each device brings its own
 //     engine set, so completed ops/sec must grow monotonically with the
 //     fleet — the exit-status gate. (Wall clock can't show this on a
-//     1-core host: the device model's service time is a busy-wait, so
-//     every "parallel" engine serializes on the same CPU.)
+//     4-core host: the device model's engines run their crypto on the host
+//     CPUs, so a fleet of 1, 2 or 4 devices shares the same four cores.)
 //
 //  2. Mid-bench device kill (wall clock, real stack): worker threads drive
 //     sync offload through per-device engine lanes while device 0 is

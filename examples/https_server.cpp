@@ -98,15 +98,14 @@ int main(int argc, char** argv) {
     return 1;
   }
   // Device fleet from the qat_topology{} block; each logical device is
-  // DH8970-shaped (3 endpoints x 12 engines). The single-worker self-test
-  // below rides device 0; the pool stripes workers across the fleet.
+  // DH8970-shaped (3 endpoints x 12 engines). The pool stripes workers
+  // across the fleet; the single-worker self-test is worker 0 of 1.
   qat::TopologyConfig topo_config;
   topo_config.num_devices = settings.value().topology.devices;
   topo_config.numa_nodes = settings.value().topology.numa_nodes;
   topo_config.spill_threshold = settings.value().topology.spill_threshold;
+  topo_config.worker_affinity = settings.value().topology.worker_affinity;
   qat::DeviceTopology topology(topo_config);
-  engine::QatEngineProvider qat_engine(topology.device(0).allocate_instance(),
-                                       settings.value().engine);
 
   tls::TlsContextConfig tls_config;
   tls_config.is_server = true;
@@ -114,9 +113,6 @@ int main(int argc, char** argv) {
       settings.value().engine.offload_mode == engine::OffloadMode::kAsync;
   tls_config.cipher_suites = {tls::CipherSuite::kEcdheRsaWithAes128CbcSha,
                               tls::CipherSuite::kTlsRsaWithAes128CbcSha};
-  tls::TlsContext tls_ctx(tls_config, &qat_engine);
-  tls_ctx.credentials().rsa_key = &test_rsa2048();
-  tls_ctx.credentials().ecdsa_p256 = &test_ec_key_p256();
 
   server::WorkerConfig worker_config;
   worker_config.notify = settings.value().notify;
@@ -147,7 +143,6 @@ int main(int argc, char** argv) {
     options.worker_config.control = &control;
     options.tls_config = tls_config;
     options.engine_config = settings.value().engine;
-    options.worker_affinity = settings.value().topology.worker_affinity;
     auto pool = std::make_unique<server::WorkerPool>(
         &topology, &test_rsa2048(), options);
     auto status = pool->start(static_cast<uint16_t>(listen_port));
@@ -182,9 +177,24 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  // Self test: one worker whose engine draws its instance from the topology
+  // the way a pool worker does, driven by in-process clients over
+  // socketpairs.
+  const auto placements = topology.allocate_for_worker(0, 1, 1);
+  if (placements.empty()) {
+    std::fprintf(stderr, "no QAT instances left\n");
+    return 1;
+  }
+  const qat::DeviceTopology::Placement& placement = placements.front();
+  engine::QatEngineProvider qat_engine(
+      &topology, topology.preferred_device(0, 1),
+      {engine::DeviceInstanceSet{placement.device, {placement.instance}}},
+      settings.value().engine);
+  tls::TlsContext tls_ctx(tls_config, &qat_engine);
+  tls_ctx.credentials().rsa_key = &test_rsa2048();
+  tls_ctx.credentials().ecdsa_p256 = &test_ec_key_p256();
   server::Worker worker(&tls_ctx, &qat_engine, worker_config);
 
-  // Self test: in-process clients over socketpairs.
   engine::SoftwareProvider client_provider;
   tls::TlsContextConfig client_config;
   client_config.cipher_suites = tls_config.cipher_suites;
@@ -238,8 +248,8 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(
                     worker.poller_stats()->efficiency_triggers));
   }
-  std::printf("  device: %s\n",
-              topology.device(0).fw_counters().to_string().c_str());
+  const qat::QatDevice& served = topology.device(placement.device);
+  std::printf("  device: %s\n", served.fw_counters().to_string().c_str());
   std::printf("  topology: %s\n", topology.stats_json().c_str());
 
   if (show_stats) {

@@ -52,6 +52,9 @@ int DeviceTopology::online_devices() const {
 int DeviceTopology::preferred_device(int worker_id, int num_workers) const {
   const int n = num_devices();
   if (n <= 1) return 0;
+  const std::vector<int>& map = config_.worker_affinity;
+  if (!map.empty())
+    return map[static_cast<size_t>(worker_id) % map.size()] % n;
   const int nodes = std::max(1, config_.numa_nodes);
   if (nodes <= 1 || num_workers <= 0)
     return worker_id % n;

@@ -44,6 +44,10 @@ struct TopologyConfig {
   size_t spill_threshold = 32;
   // Seed for the per-device fault plans (device i gets seed ^ f(i)).
   uint64_t fault_seed = 0x746f706fULL;  // "topo"
+  // Explicit worker->device map: worker w prefers device
+  // worker_affinity[w % size] (mod num_devices). Empty = NUMA striping.
+  // Mirrors conf `qat_topology { worker_affinity ...; }`.
+  std::vector<int> worker_affinity;
 };
 
 // One device's placement-relevant state. `online` flips on hot_remove /
@@ -95,7 +99,8 @@ class DeviceTopology {
     return devices_[static_cast<size_t>(i)]->dev->inflight();
   }
 
-  // NUMA-style worker→device affinity: workers are striped across nodes
+  // Worker→device affinity: the explicit worker_affinity map when one is
+  // configured, else NUMA striping — workers are striped across nodes
   // (worker w sits on node w % numa_nodes, like SO_REUSEPORT workers pinned
   // round-robin), then across that node's devices. With fewer devices than
   // nodes this degenerates to plain round-robin over devices.

@@ -63,7 +63,6 @@
 //   }
 #pragma once
 
-#include <algorithm>
 #include <chrono>
 #include <string>
 #include <vector>
@@ -89,23 +88,15 @@ enum class PollScheme : uint8_t {
 };
 
 // The qat_topology{} block: how many logical devices the box carries, how
-// they spread over NUMA nodes, and how workers bind to them. An explicit
-// worker_affinity list (worker w -> device affinity[w % len]) overrides the
-// default NUMA striping in DeviceTopology::preferred_device().
+// they spread over NUMA nodes, and how workers bind to them. Each key maps
+// onto qat::TopologyConfig; an explicit worker_affinity list (worker w ->
+// device affinity[w % len]) overrides the default NUMA striping in
+// DeviceTopology::preferred_device().
 struct TopologySettings {
   int devices = 1;
   int numa_nodes = 1;
   size_t spill_threshold = 32;
   std::vector<int> worker_affinity;  // empty = NUMA striping
-
-  int affinity_for(int worker_id, int num_workers,
-                   const qat::DeviceTopology& topo) const {
-    if (!worker_affinity.empty())
-      return worker_affinity[static_cast<size_t>(worker_id) %
-                             worker_affinity.size()] %
-             std::max(1, topo.num_devices());
-    return topo.preferred_device(worker_id, num_workers);
-  }
 };
 
 // The remote_offload{} block: the disaggregated offload tier (DESIGN.md

@@ -895,8 +895,8 @@ std::string Worker::stats_json() const {
      << tls_ctx_->session_plane().stats_json(tls_ctx_->now_ms());
   const obs::MetricsSnapshot snap = obs::MetricsRegistry::global().snapshot();
   // TX data-plane copy meter (DESIGN.md §11): payload bytes memcpy'd per
-  // byte handed to the transport. 1.0 ≈ the single unavoidable staging pass;
-  // the legacy coalesced plane sits near 3.
+  // byte handed to the transport. 1.0 ≈ the single unavoidable staging pass
+  // (the connection's write scratch).
   const uint64_t copied = snap.counter_value("record.bytes_copied");
   const uint64_t sent = snap.counter_value("record.bytes_sent");
   os << ",\"record\":{"

@@ -63,16 +63,9 @@ bool remote_settings_equal(const RemoteOffloadSettings& a,
 
 }  // namespace
 
-WorkerPool::WorkerPool(qat::QatDevice* device, const RsaPrivateKey* rsa_key,
-                       WorkerPoolOptions options)
-    : device_(device), rsa_key_(rsa_key), options_(options) {}
-
 WorkerPool::WorkerPool(qat::DeviceTopology* topology,
                        const RsaPrivateKey* rsa_key, WorkerPoolOptions options)
-    : device_(nullptr),
-      topology_(topology),
-      rsa_key_(rsa_key),
-      options_(options) {}
+    : topology_(topology), rsa_key_(rsa_key), options_(options) {}
 
 WorkerPool::~WorkerPool() { stop(); }
 
@@ -81,44 +74,27 @@ WorkerPool::~WorkerPool() { stop(); }
 Status WorkerPool::build_cell_engine_ctx(int i, Cell* cell) {
   engine::QatEngineConfig ecfg = options_.engine_config;
   ecfg.drbg_seed ^= static_cast<uint64_t>(i + 1) * 0x9e3779b97f4a7c15ULL;
-  // Instances grouped by device into per-lane sets; a device pool is one
-  // set on device 0.
+  // One placement decision per instance (the preferred device unless it is
+  // offline or queue-deep), grouped by device into per-lane sets.
+  auto placements = topology_->allocate_for_worker(
+      i, options_.workers, options_.instances_per_worker);
+  if (placements.empty())
+    return err(Code::kResourceExhausted, "no QAT instances left");
   std::vector<engine::DeviceInstanceSet> sets;
-  int preferred = 0;
-  if (topology_) {
-    // Topology pool: one placement decision per instance (affine device
-    // unless offline/deep).
-    preferred =
-        options_.worker_affinity.empty()
-            ? topology_->preferred_device(i, options_.workers)
-            : options_.worker_affinity[static_cast<size_t>(i) %
-                                       options_.worker_affinity.size()] %
-                  topology_->num_devices();
-    auto placements = topology_->allocate_for_worker(
-        i, options_.workers, options_.instances_per_worker);
-    if (placements.empty())
-      return err(Code::kResourceExhausted, "no QAT instances left");
-    for (const auto& p : placements) {
-      auto it = std::find_if(sets.begin(), sets.end(),
-                             [&](const engine::DeviceInstanceSet& s) {
-                               return s.device_id == p.device;
-                             });
-      if (it == sets.end()) {
-        sets.push_back(engine::DeviceInstanceSet{p.device, {}});
-        it = sets.end() - 1;
-      }
-      it->instances.push_back(p.instance);
+  for (const auto& p : placements) {
+    auto it = std::find_if(sets.begin(), sets.end(),
+                           [&](const engine::DeviceInstanceSet& s) {
+                             return s.device_id == p.device;
+                           });
+    if (it == sets.end()) {
+      sets.push_back(engine::DeviceInstanceSet{p.device, {}});
+      it = sets.end() - 1;
     }
-  } else {
-    sets.push_back(engine::DeviceInstanceSet{0, {}});
-    for (int k = 0; k < options_.instances_per_worker; ++k) {
-      qat::CryptoInstance* inst = device_->allocate_instance();
-      if (!inst) return err(Code::kResourceExhausted, "no QAT instances left");
-      sets.front().instances.push_back(inst);
-    }
+    it->instances.push_back(p.instance);
   }
   cell->engine = std::make_unique<engine::QatEngineProvider>(
-      topology_, preferred, std::move(sets), ecfg);
+      topology_, topology_->preferred_device(i, options_.workers),
+      std::move(sets), ecfg);
 
   // Remote tier (DESIGN.md §13): each worker gets its own channel so a
   // single slow worker cannot head-of-line block the others' batches.
@@ -331,8 +307,7 @@ RecoverOutcome WorkerPool::recover_worker(int worker_index, uint64_t grace_ms) {
     z->exited = exited;
     zombies_.push_back(std::move(z));
     // Fresh engine + context for the replacement (the zombie keeps its
-    // instances; a topology pool re-allocates lanes, the legacy pool draws
-    // spare instances from the device).
+    // instances; the replacement draws fresh ones from the topology).
     const Status st = build_cell_engine_ctx(worker_index, cell);
     if (!st.is_ok()) {
       QTLS_ERROR << "worker " << worker_index
@@ -507,7 +482,7 @@ std::string WorkerPool::stats_text() const {
      << " worker_restarts=" << s.worker_restarts << '\n';
   os << "session: hits=" << s.session_hits << " misses=" << s.session_misses
      << " tickets_unsealed=" << s.tickets_unsealed << '\n';
-  if (topology_) os << "topology: " << topology_->stats_json() << '\n';
+  os << "topology: " << topology_->stats_json() << '\n';
   os << obs::MetricsRegistry::global().snapshot().to_text();
   return os.str();
 }

@@ -1,8 +1,8 @@
 // Multi-worker deployment — the paper's §5.1 setup in one process: N
 // workers, each on its own thread with its own event loop, TLS context and
-// QAT instance (instances distributed evenly across the card's endpoints),
-// all accepting from the same port via SO_REUSEPORT, the way multi-process
-// Nginx shares a listener.
+// QAT instances drawn from a device topology (one card is a topology of
+// one), all accepting from the same port via SO_REUSEPORT, the way
+// multi-process Nginx shares a listener.
 #pragma once
 
 #include <atomic>
@@ -26,10 +26,6 @@ struct WorkerPoolOptions {
   engine::QatEngineConfig engine_config;
   // Instances assigned per worker (paper: one each; §2.3 allows more).
   int instances_per_worker = 1;
-  // Topology pools only: explicit worker->device map (worker w prefers
-  // device worker_affinity[w % size]); empty = NUMA striping
-  // (DeviceTopology::preferred_device). Mirrors conf `worker_affinity`.
-  std::vector<int> worker_affinity;
   // Remote offload tier (DESIGN.md §13): when enabled each worker dials
   // the offload server and slots the channel between its QAT lanes and
   // inline software. A failed dial logs and degrades to the two-tier
@@ -72,14 +68,11 @@ struct RecoverOutcome {
 
 class WorkerPool {
  public:
-  // `device` outlives the pool; credentials are shared const state.
-  WorkerPool(qat::QatDevice* device, const RsaPrivateKey* rsa_key,
-             WorkerPoolOptions options);
-  // Multi-device form (DESIGN.md §12): workers draw their instances from
-  // the topology with NUMA-style affinity (or the explicit worker_affinity
-  // map), and each worker's engine runs one lane per device it touches —
-  // a hot-removed device shifts that worker's load to its other lanes.
-  // `topology` outlives the pool.
+  // Workers draw their instances from the topology (DESIGN.md §12) on
+  // their preferred device — the topology's worker_affinity map, else NUMA
+  // striping — and each worker's engine runs one lane per device it
+  // touches: a hot-removed device shifts that worker's load to its other
+  // lanes. `topology` outlives the pool; credentials are shared const state.
   WorkerPool(qat::DeviceTopology* topology, const RsaPrivateKey* rsa_key,
              WorkerPoolOptions options);
   ~WorkerPool();
@@ -183,8 +176,7 @@ class WorkerPool {
   void rebind_remote(Cell* cell, const RemoteOffloadSettings& ro);
   void reap_zombies();
 
-  qat::QatDevice* device_;                    // legacy single-device pools
-  qat::DeviceTopology* topology_ = nullptr;   // multi-device pools
+  qat::DeviceTopology* topology_;
   const RsaPrivateKey* rsa_key_;
   WorkerPoolOptions options_;
   std::unique_ptr<tls::SessionPlane> session_plane_;

@@ -100,8 +100,9 @@ struct CostModel {
 
   // --- record data plane (DESIGN.md §11) --------------------------------
   // One memcpy pass over a full 16 KB record (~8 GB/s effective including
-  // cache pollution). The legacy coalesced plane makes 3 passes per payload
-  // byte; the iovec-chain plane makes 1 (the connection staging copy).
+  // cache pollution). The baseline configurations' coalescing BIO path makes
+  // 3 passes per payload byte; QTLS's iovec-chain plane makes 1 (the
+  // connection staging copy).
   SimTime copy_per_16k_cpu = 2 * kUs;
   // Marshalling cost per extra record riding a batched seal submission —
   // batch members skip the full submit/notify/resume round trip.

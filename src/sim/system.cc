@@ -380,20 +380,18 @@ class SimSystem {
     }
     const size_t bytes = conn->records[conn->record];
     ++conn->record;
-    // Only the QTLS framework runs the iovec-chain plane (DESIGN.md §11);
-    // the OpenSSL-based baselines keep the stock coalescing BIO path, as
-    // does QTLS itself when legacy_dataplane forces the pre-change plane.
-    const bool new_plane =
-        p_.config == Config::kQtls && !p_.legacy_dataplane;
+    // Only the QTLS framework runs the iovec-chain batch plane (DESIGN.md
+    // §11); the OpenSSL-based baselines keep the stock coalescing BIO path.
+    const bool batch_plane = p_.config == Config::kQtls;
     // Records after a request's first ride the batched seal submission:
     // they pay the per-item marshalling cost instead of a full
     // submit/notify/resume round trip.
-    const bool batch_rider = new_plane && conn->record > 1;
+    const bool batch_rider = batch_plane && conn->record > 1;
     const double scale = static_cast<double>(bytes) / (16.0 * 1024.0);
-    // TX copy passes: the legacy coalesced plane stages each payload byte
-    // three times (entry staging, sealed-record append, coalesce); the
-    // iovec-chain plane only pays the entry staging copy.
-    const int copy_passes = new_plane ? 1 : 3;
+    // TX copy passes: the coalescing BIO path stages each payload byte three
+    // times (entry staging, sealed-record append, coalesce); the iovec-chain
+    // plane only pays the entry staging copy.
+    const int copy_passes = batch_plane ? 1 : 3;
     if (in_window()) {
       result_.bytes_copied += static_cast<uint64_t>(bytes) *
                               static_cast<uint64_t>(copy_passes);

@@ -35,10 +35,6 @@ struct RunParams {
   // fixed object; CPS mode otherwise (one handshake per connection).
   bool transfer_mode = false;
   size_t file_bytes = 64 * 1024;
-  // Model the pre-batching coalesced TX plane (3 copy passes per payload
-  // byte, one submit/notify round trip per record) instead of the iovec-
-  // chain batch plane (1 pass, batched submits). DESIGN.md §11.
-  bool legacy_dataplane = false;
   // CPS mode: also serve one small page per connection (Fig. 11's
   // full-handshake-per-request latency workload).
   bool include_request = false;

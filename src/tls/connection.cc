@@ -16,17 +16,12 @@ TlsConnection::TlsConnection(TlsContext* ctx, Transport* transport,
                              common::SlabPool<HandshakeScratch>* scratch_pool)
     : ctx_(ctx),
       creds_(ctx->credentials_snapshot()),
-      records_(transport, ctx->provider(), &ctx->rng(),
-               ctx->config().legacy_record_dataplane),
+      records_(transport, ctx->provider(), &ctx->rng()),
       hs_state_(ctx->is_server() ? HsState::kExpectClientHello
                                  : HsState::kStart),
       scratch_pool_(scratch_pool),
       hs_(scratch_pool != nullptr ? scratch_pool->create()
-                                  : new HandshakeScratch()) {
-  // The retain knob is the whole-footprint baseline: it keeps the RX read
-  // chunk pinned on idle connections too, matching pre-shrink behavior.
-  records_.set_idle_shrink(!ctx->config().retain_handshake_state);
-}
+                                  : new HandshakeScratch()) {}
 
 TlsConnection::~TlsConnection() {
   // A paused job holds a fiber stack; abandoning it mid-crypto is only
@@ -37,7 +32,7 @@ TlsConnection::~TlsConnection() {
     QTLS_WARN << "TlsConnection destroyed with a paused async job";
   }
   if (hs_ != nullptr) {
-    // Torn down mid-handshake (or retain mode): wipe + free here instead.
+    // Torn down mid-handshake: wipe + free here instead.
     hs_->wipe_secrets();
     if (scratch_pool_ != nullptr) {
       scratch_pool_->destroy(hs_);
@@ -92,7 +87,7 @@ size_t HandshakeScratch::heap_footprint() const {
 }
 
 void TlsConnection::maybe_release_handshake_state() {
-  if (hs_ == nullptr || ctx_->config().retain_handshake_state) return;
+  if (hs_ == nullptr) return;
   hs_->wipe_secrets();
   if (scratch_pool_ != nullptr) {
     scratch_pool_->destroy(hs_);

@@ -37,9 +37,7 @@ struct ClientSession {
 // reassembly buffer, key-exchange material, key-schedule intermediates.
 // Lives in a per-worker slab (heap when no pool is supplied) and is wiped
 // and released wholesale at the kDone transition, so an idle established
-// connection carries only record keys, cursors, and timer links. The
-// retain_handshake_state context knob keeps it alive for A/B footprint
-// measurement.
+// connection carries only record keys, cursors, and timer links.
 struct HandshakeScratch {
   Bytes client_random;
   Bytes server_random;
@@ -134,7 +132,7 @@ class TlsConnection {
   RecordLayer& record_layer() { return records_; }
 
   // True once the handshake scratch has been wiped and released (kDone
-  // reached with retain_handshake_state off).
+  // reached).
   bool handshake_state_released() const { return hs_ == nullptr; }
   // Approximate heap bytes owned by this connection: record-layer buffers,
   // handshake scratch (when still held), session state, entry scratch.
@@ -219,7 +217,7 @@ class TlsConnection {
   void record_established_session();
   // Wipe + release the handshake scratch and shrink the record layer's
   // handshake high-water buffers. Called at every kDone transition; a no-op
-  // under retain_handshake_state.
+  // once released.
   void maybe_release_handshake_state();
 
   TlsContext* ctx_;

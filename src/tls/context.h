@@ -43,15 +43,6 @@ struct TlsContextConfig {
   uint64_t ticket_rotate_interval_ms = 900'000;
   uint32_t ticket_accept_epochs = 1;
   uint64_t drbg_seed = 0x746c73637478ULL;
-  // Use the pre-batching coalesced TX record path (single-record seals,
-  // flat send buffer). Reference/baseline mode for the data-plane tests
-  // and copy-meter comparisons; the default is the iovec-chain batch plane.
-  bool legacy_record_dataplane = false;
-  // Keep the handshake scratch (transcript, reassembly buffer, key-schedule
-  // intermediates) alive after established instead of wiping and releasing
-  // it. Baseline mode for the memory benches: bench/million_conn measures
-  // idle bytes/connection in both modes to report the shrink factor.
-  bool retain_handshake_state = false;
 };
 
 class TlsContext {

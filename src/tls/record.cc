@@ -41,12 +41,8 @@ RecordObsCounters& obs_counters() {
 }  // namespace
 
 RecordLayer::RecordLayer(Transport* transport,
-                         engine::CryptoProvider* provider, HmacDrbg* iv_rng,
-                         bool legacy_coalesced_tx)
-    : transport_(transport),
-      provider_(provider),
-      iv_rng_(iv_rng),
-      legacy_tx_(legacy_coalesced_tx) {}
+                         engine::CryptoProvider* provider, HmacDrbg* iv_rng)
+    : transport_(transport), provider_(provider), iv_rng_(iv_rng) {}
 
 void RecordLayer::count_copy(size_t n) {
   bytes_copied_ += n;
@@ -98,12 +94,6 @@ Status RecordLayer::queue_many(ContentType type,
   }
   if (fragments.empty()) return Status::ok();
 
-  if (legacy_tx_) {
-    for (const BytesView& fragment : fragments)
-      QTLS_RETURN_IF_ERROR(queue_one_legacy(type, fragment));
-    return Status::ok();
-  }
-
   if (tx_.kind == DirectionState::Kind::kNone) {
     for (const BytesView& fragment : fragments)
       queue_plaintext(type, fragment);
@@ -130,9 +120,9 @@ void RecordLayer::queue_plaintext(ContentType type, BytesView fragment) {
 Status RecordLayer::seal_batch_into_chain(
     ContentType type, const std::vector<BytesView>& fragments) {
   const size_t n = fragments.size();
-  // Blocks are built aside and spliced in only if the whole batch seals
-  // (matching the old path, where a failed seal queued nothing). A deque
-  // keeps Bytes addresses stable while the provider appends into them.
+  // Blocks are built aside and spliced in only if the whole batch seals, so
+  // a failed seal queues nothing. A deque keeps Bytes addresses stable
+  // while the provider appends into them.
   std::deque<TxBlock> pending;
   Status sealed = Status::ok();
 
@@ -176,46 +166,6 @@ Status RecordLayer::seal_batch_into_chain(
     send_chain_.push_back(std::move(header));
     send_chain_.push_back(std::move(body));
   }
-  return Status::ok();
-}
-
-Status RecordLayer::queue_one_legacy(ContentType type, BytesView fragment) {
-  // The pre-batching TX path, preserved byte-for-byte: one seal per record,
-  // the sealed payload staged through wire_payload, everything coalesced
-  // into one flat buffer. Kept as the property-test reference and the
-  // copy-meter baseline (three passes over every payload byte).
-  Bytes wire_payload;
-  if (tx_.kind == DirectionState::Kind::kCbcHmac) {
-    Bytes header;
-    append_record_header(header, type, fragment.size());
-    Bytes iv(kIvSize);
-    iv_rng_->generate(iv.data(), iv.size());
-    QTLS_ASSIGN_OR_RETURN(
-        Bytes sealed,
-        provider_->cipher_seal(tx_.keys, tx_.seq, header, iv, fragment));
-    ++tx_.seq;
-    wire_payload = std::move(iv);
-    count_copy(sealed.size());
-    append(wire_payload, sealed);
-  } else if (tx_.kind == DirectionState::Kind::kAead) {
-    Bytes aad;
-    append_record_header(aad, type, fragment.size() + kGcmTagSize);
-    const Bytes nonce = aead_nonce(tx_.aead.iv, tx_.seq);
-    QTLS_ASSIGN_OR_RETURN(
-        Bytes sealed, provider_->aead_seal(tx_.aead.key, nonce, aad, fragment));
-    ++tx_.seq;
-    wire_payload = std::move(sealed);
-  } else {
-    count_copy(fragment.size());
-    wire_payload.assign(fragment.begin(), fragment.end());
-  }
-
-  if (send_chain_.empty()) send_chain_.emplace_back();
-  Bytes& coalesced = send_chain_.back().data;
-  append_record_header(coalesced, type, wire_payload.size());
-  count_copy(wire_payload.size());
-  append(coalesced, wire_payload);
-  ++records_sent_;
   return Status::ok();
 }
 
@@ -396,7 +346,7 @@ RecordLayer::ReadOutcome RecordLayer::read_record() {
         // Fully drained and going idle: drop the read chunk's capacity so a
         // parked keepalive connection holds cursors, not a 4 KB buffer. A
         // buffered partial record keeps its storage.
-        if (idle_shrink_ && recv_buffer_.empty() && recv_off_ == 0)
+        if (recv_buffer_.empty() && recv_off_ == 0)
           Bytes().swap(recv_buffer_);
         return {TlsResult::kWantRead, std::nullopt};
       case IoStatus::kClosed:

@@ -46,11 +46,8 @@ struct DirectionState {
 
 class RecordLayer {
  public:
-  // `legacy_coalesced_tx` reproduces the pre-batching TX path byte-for-byte
-  // (single-record seals staged through a coalesced buffer) — kept as the
-  // reference for the data-plane property tests and the copy-meter baseline.
   RecordLayer(Transport* transport, engine::CryptoProvider* provider,
-              HmacDrbg* iv_rng, bool legacy_coalesced_tx = false);
+              HmacDrbg* iv_rng);
 
   // Queue a plaintext fragment for sending (fragments > 16 KB are split).
   // Encryption happens at queue time (counts cipher ops); all fragments of
@@ -66,7 +63,9 @@ class RecordLayer {
   bool send_buffer_empty() const { return send_chain_.empty(); }
 
   // Try to read one complete record from the transport. nullopt with
-  // result kWantRead when bytes are not yet available.
+  // result kWantRead when bytes are not yet available; a read that drains
+  // the buffer and would block also releases the 4 KB read chunk, so an
+  // idle keepalive connection pins cursors, not a buffer (DESIGN.md §14).
   struct ReadOutcome {
     TlsResult result = TlsResult::kOk;
     std::optional<Record> record;
@@ -108,13 +107,6 @@ class RecordLayer {
   // idle established connection should pin record keys and cursors, not the
   // multi-KB flight the handshake happened to buffer.
   void shrink_after_handshake();
-  // Idle-shrink discipline (DESIGN.md §14): when a read drains the receive
-  // buffer completely and the transport would block, release the buffer's
-  // capacity instead of pinning the 4 KB read chunk per idle connection.
-  // Costs one allocation per epoll wakeup on active connections — noise
-  // next to record crypto — and keeps a million keepalive connections at
-  // cursor-sized RX state. Off by default (the retain-mode baseline).
-  void set_idle_shrink(bool on) { idle_shrink_ = on; }
   // Approximate heap bytes owned by this layer's buffers (RX buffer + TX
   // chain) — feeds TlsConnection::heap_footprint and memory.bytes_per_conn.
   size_t heap_footprint() const;
@@ -137,16 +129,12 @@ class RecordLayer {
   Status seal_batch_into_chain(ContentType type,
                                const std::vector<BytesView>& fragments);
   void queue_plaintext(ContentType type, BytesView fragment);
-  // Pre-change single-record path, byte-for-byte (property-test reference).
-  Status queue_one_legacy(ContentType type, BytesView fragment);
   void compact_recv_buffer();
   void count_copy(size_t n);
 
   Transport* transport_;
   engine::CryptoProvider* provider_;
   HmacDrbg* iv_rng_;
-  bool legacy_tx_;
-  bool idle_shrink_ = false;
 
   DirectionState tx_;
   DirectionState rx_;

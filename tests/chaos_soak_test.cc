@@ -87,7 +87,12 @@ uint64_t total_fw_requests(qat::QatDevice& device) {
 }
 
 TEST(ChaosSoak, WorkerPoolSurvivesFaultyDevice) {
-  qat::FaultPlan plan(/*seed=*/2026);
+  qat::TopologyConfig tc;
+  tc.device.num_endpoints = 2;
+  tc.device.engines_per_endpoint = 8;
+  qat::DeviceTopology topo(tc);
+  qat::QatDevice& device = topo.device(0);
+  qat::FaultPlan& plan = topo.fault_plan(0);
   qat::FaultRates asym_rates;
   asym_rates.error_rate = 0.05;  // 5% transient CPA failures
   asym_rates.drop_rate = 0.001;  // 1 in 1000 responses vanish
@@ -96,12 +101,6 @@ TEST(ChaosSoak, WorkerPoolSurvivesFaultyDevice) {
   // first RSA sign errors, the third's response is dropped.
   plan.schedule(qat::OpKind::kRsa2048Priv, 1, qat::FaultKind::kError);
   plan.schedule(qat::OpKind::kRsa2048Priv, 3, qat::FaultKind::kDrop);
-
-  qat::DeviceConfig dcfg;
-  dcfg.num_endpoints = 2;
-  dcfg.engines_per_endpoint = 8;
-  dcfg.fault_plan = &plan;
-  qat::QatDevice device(dcfg);
 
   WorkerPoolOptions options;
   options.workers = 4;
@@ -132,7 +131,7 @@ TEST(ChaosSoak, WorkerPoolSurvivesFaultyDevice) {
       obs::MetricsRegistry::global().snapshot().counter_value(
           "overload.handshake_timeout");
 
-  WorkerPool pool(&device, &test_rsa2048(), options);
+  WorkerPool pool(&topo, &test_rsa2048(), options);
   ASSERT_TRUE(pool.start(0).is_ok());
   control.attach(&pool);
   control.install_sighup();

@@ -297,7 +297,7 @@ TEST(ControlWorker, InflightHandshakeSurvivesCredentialReload) {
 // ---------------------------------------------------- reload under churn ----
 
 TEST(ControlPool, ReloadUnderChurnKeepsResumptionPerfect) {
-  qat::QatDevice device;
+  qat::DeviceTopology topo{qat::TopologyConfig{}};
   ControlPlane control;  // auto_recover on: churn must not look like a wedge
   ASSERT_TRUE(control.load(conf_text(2048, 4, 100, 4, "park")).is_ok());
 
@@ -308,7 +308,7 @@ TEST(ControlPool, ReloadUnderChurnKeepsResumptionPerfect) {
   options.tls_config.cipher_suites = {
       tls::CipherSuite::kEcdheRsaWithAes128CbcSha};
   options.worker_config.control = &control;
-  WorkerPool pool(&device, &test_rsa2048(), options);
+  WorkerPool pool(&topo, &test_rsa2048(), options);
   ASSERT_TRUE(pool.start(0).is_ok());
   control.attach(&pool);
   control.install_sighup();
@@ -425,7 +425,7 @@ TEST(ControlPool, ReloadUnderChurnKeepsResumptionPerfect) {
 // ---------------------------------------------------------------- watchdog ----
 
 TEST(ControlWatchdog, WedgeDetectedRecoveredReadyzFlips) {
-  qat::QatDevice device;
+  qat::DeviceTopology topo{qat::TopologyConfig{}};
   ControlPlane::Options copts;
   copts.auto_recover = false;  // observe the unready window, recover by hand
   ControlPlane control(std::move(copts));
@@ -447,7 +447,7 @@ TEST(ControlWatchdog, WedgeDetectedRecoveredReadyzFlips) {
     while (wedge_on.load(std::memory_order_acquire) && !w.eject_requested())
       std::this_thread::sleep_for(milliseconds(1));
   };
-  WorkerPool pool(&device, &test_rsa2048(), options);
+  WorkerPool pool(&topo, &test_rsa2048(), options);
   ASSERT_TRUE(pool.start(0).is_ok());
   control.attach(&pool);
   const uint16_t port = pool.port();
@@ -556,7 +556,7 @@ TEST(ControlWatchdog, WedgeDetectedRecoveredReadyzFlips) {
 }
 
 TEST(ControlWatchdog, BusyWorkerHeldNotWedged) {
-  qat::QatDevice device;
+  qat::DeviceTopology topo{qat::TopologyConfig{}};
   ControlPlane control;  // auto_recover ON: a hold that misfires would restart
   ASSERT_TRUE(control.load(conf_text(2048, 4, 3, 256, "shed")).is_ok());
 
@@ -575,7 +575,7 @@ TEST(ControlWatchdog, BusyWorkerHeldNotWedged) {
       std::this_thread::sleep_for(milliseconds(1));
     }
   };
-  WorkerPool pool(&device, &test_rsa2048(), options);
+  WorkerPool pool(&topo, &test_rsa2048(), options);
   ASSERT_TRUE(pool.start(0).is_ok());
   control.attach(&pool);
 

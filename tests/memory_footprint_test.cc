@@ -39,12 +39,11 @@ struct Pair {
   std::unique_ptr<TlsConnection> server;
   std::unique_ptr<TlsConnection> client;
 
-  explicit Pair(CipherSuite suite, bool retain, bool tickets = false) {
+  explicit Pair(CipherSuite suite, bool tickets = false) {
     TlsContextConfig server_cfg;
     server_cfg.is_server = true;
     server_cfg.cipher_suites = {suite};
     server_cfg.use_session_tickets = tickets;
-    server_cfg.retain_handshake_state = retain;
     server_cfg.drbg_seed = 111;
     server_ctx = std::make_unique<TlsContext>(server_cfg, &server_provider);
     server_ctx->credentials().rsa_key = &test_rsa2048();
@@ -53,7 +52,6 @@ struct Pair {
 
     TlsContextConfig client_cfg;
     client_cfg.cipher_suites = {suite};
-    client_cfg.retain_handshake_state = retain;
     client_cfg.drbg_seed = 222;
     client_ctx = std::make_unique<TlsContext>(client_cfg, &client_provider);
 
@@ -84,7 +82,7 @@ void settle(Pair& pair) {
 }
 
 TEST(IdleFootprint, HandshakeScratchReleasedAtEstablished) {
-  Pair pair(CipherSuite::kTlsRsaWithAes128CbcSha, /*retain=*/false);
+  Pair pair(CipherSuite::kTlsRsaWithAes128CbcSha);
   EXPECT_FALSE(pair.server->handshake_state_released());
   settle(pair);
   EXPECT_TRUE(pair.server->handshake_state_released());
@@ -94,33 +92,19 @@ TEST(IdleFootprint, HandshakeScratchReleasedAtEstablished) {
   EXPECT_EQ(pair.scratch_pool.stats().total_frees, 2u);
 }
 
-TEST(IdleFootprint, RetainKnobKeepsScratchForBaseline) {
-  Pair pair(CipherSuite::kTlsRsaWithAes128CbcSha, /*retain=*/true);
+// The headline S2 number: an idle established server connection pins at
+// most 1 KiB (object plus heap). The same budget gates bench/million_conn.
+TEST(IdleFootprint, IdleServerConnectionFitsOneKilobyte) {
+  Pair pair(CipherSuite::kTlsRsaWithAes128CbcSha);
   settle(pair);
-  EXPECT_FALSE(pair.server->handshake_state_released());
-  EXPECT_EQ(pair.scratch_pool.live(), 2u);
-}
-
-// The headline S2 number: an established connection in release mode pins
-// less than half the heap of the retain baseline (the real gate, with the
-// measured factor, lives in bench/million_conn).
-TEST(IdleFootprint, ReleaseShrinksIdleBytesAtLeastTwofold) {
-  Pair retained(CipherSuite::kTlsRsaWithAes128CbcSha, /*retain=*/true);
-  settle(retained);
-  Pair released(CipherSuite::kTlsRsaWithAes128CbcSha, /*retain=*/false);
-  settle(released);
-  const size_t bytes_retained = retained.server_idle_bytes();
-  const size_t bytes_released = released.server_idle_bytes();
-  EXPECT_GE(bytes_retained, 2 * bytes_released)
-      << "retained=" << bytes_retained << " released=" << bytes_released;
+  EXPECT_LE(pair.server_idle_bytes(), 1024u);
 }
 
 // TLS 1.3 with tickets: the post-handshake NewSessionTicket flows through
 // the record layer without the handshake scratch, and resumption state
 // survives the release.
 TEST(IdleFootprint, Tls13TicketFlowSurvivesScratchRelease) {
-  Pair pair(CipherSuite::kTls13Aes128Sha256, /*retain=*/false,
-            /*tickets=*/true);
+  Pair pair(CipherSuite::kTls13Aes128Sha256, /*tickets=*/true);
   settle(pair);
   EXPECT_TRUE(pair.server->handshake_state_released());
   // Client captured the ticket after its scratch was gone (kDone records a
@@ -139,7 +123,7 @@ TEST(IdleFootprint, Tls13TicketFlowSurvivesScratchRelease) {
 // The reassembly high-water regression: a handshake that buffered multi-KB
 // flights must not leave that capacity pinned in the receive buffer.
 TEST(IdleFootprint, RecvBufferHighWaterShedAfterHandshake) {
-  Pair pair(CipherSuite::kEcdheRsaWithAes128CbcSha, /*retain=*/false);
+  Pair pair(CipherSuite::kEcdheRsaWithAes128CbcSha);
   settle(pair);
   // The client buffered the server's Certificate..Done flight (several KB);
   // after release only the (empty) steady-state buffer remains.
@@ -156,11 +140,10 @@ struct WorkerRig {
   std::unique_ptr<server::Worker> worker;
   uint64_t vnow = 1000;
 
-  explicit WorkerRig(bool retain) {
+  WorkerRig() {
     TlsContextConfig scfg;
     scfg.is_server = true;
     scfg.cipher_suites = {CipherSuite::kTlsRsaWithAes128CbcSha};
-    scfg.retain_handshake_state = retain;
     scfg.drbg_seed = 1;
     server_ctx = std::make_unique<TlsContext>(scfg, &server_provider);
     server_ctx->credentials().rsa_key = &test_rsa2048();
@@ -203,22 +186,16 @@ struct WorkerRig {
 };
 
 TEST(IdleFootprint, WorkerGaugeAndStatsJsonReportMemoryPlane) {
-  WorkerRig rig(/*retain=*/false);
+  WorkerRig rig;
   auto client = rig.connect_and_handshake();
   ASSERT_NE(client, nullptr);
   EXPECT_EQ(rig.worker->released_scratch_connections(), 1u);
   const size_t bpc = rig.worker->bytes_per_conn();
   EXPECT_GT(bpc, 0u);
-
-  // A retain-mode worker carrying the same single idle connection pins at
-  // least twice the bytes (asserted via the public gauge surface).
-  WorkerRig retained(/*retain=*/true);
-  auto retained_client = retained.connect_and_handshake();
-  ASSERT_NE(retained_client, nullptr);
-  EXPECT_EQ(retained.worker->released_scratch_connections(), 0u);
-  EXPECT_GE(retained.worker->bytes_per_conn(), 2 * bpc)
-      << "retained=" << retained.worker->bytes_per_conn()
-      << " released=" << bpc;
+  // One idle connection, read through the public gauge surface: the worker's
+  // connection slot (transport + TLS state) and everything it owns on the
+  // heap fit in 2 KiB.
+  EXPECT_LE(bpc, 2048u);
 
   // stats_json carries the memory object and refreshes the global gauge.
   const std::string json = rig.worker->stats_json();

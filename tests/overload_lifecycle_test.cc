@@ -466,14 +466,14 @@ TEST(Drain, WorkerDrainsIdleThenForceClosesAtDeadline) {
 }
 
 TEST(Drain, TcpPoolShutdownCompletesAndStopsAccepting) {
-  qat::QatDevice device;
+  qat::DeviceTopology topo{qat::TopologyConfig{}};
   WorkerPoolOptions options;
   options.workers = 2;
   options.tls_config.async_mode = true;
   options.tls_config.cipher_suites = {
       tls::CipherSuite::kTlsRsaWithAes128CbcSha};
 
-  WorkerPool pool(&device, &test_rsa2048(), options);
+  WorkerPool pool(&topo, &test_rsa2048(), options);
   ASSERT_TRUE(pool.start(0).is_ok());
   const uint16_t port = pool.port();
 

@@ -1,9 +1,11 @@
 // Record data-plane regressions (DESIGN.md §11, `ctest -L dataplane`):
 //  * wire parity — the iovec-chain batched TX plane must emit byte-for-byte
-//    what the legacy coalesced plane emits, under random interleavings of
-//    queue/queue_many/flush against a partial-write transport, for both
-//    CBC-HMAC and AEAD record protection;
-//  * copy meter — the new plane must memcpy strictly fewer payload bytes;
+//    what a reference sealer emits (each <= 16 KB fragment sealed on its own
+//    through the provider's single-record seal, records framed back to
+//    back), under random interleavings of queue/queue_many/flush against a
+//    partial-write transport, for both CBC-HMAC and AEAD record protection;
+//  * copy meter — with a provider that seals in place, the plane must
+//    memcpy no payload byte at all;
 //  * RX compaction — many small records must not shift or reallocate the
 //    receive buffer per record;
 //  * QAT batching — a multi-fragment payload must reach the engine as ONE
@@ -16,6 +18,7 @@
 #include <cstdio>
 #include <random>
 
+#include "crypto/gcm.h"
 #include "crypto/keystore.h"
 #include "engine/provider.h"
 #include "engine/qat_engine.h"
@@ -25,55 +28,6 @@
 
 namespace qtls::tls {
 namespace {
-
-// Twin rigs: identical DRBG seeds and identical transport pacing, one on the
-// batched iovec-chain plane, one on the legacy coalesced plane.
-struct TwinRig {
-  net::MemoryPipe pipe_new;
-  net::MemoryPipe pipe_legacy;
-  engine::SoftwareProvider provider{1};
-  HmacDrbg rng_new{HashAlg::kSha256, to_bytes("dataplane")};
-  HmacDrbg rng_legacy{HashAlg::kSha256, to_bytes("dataplane")};
-  RecordLayer layer_new{&pipe_new.a(), &provider, &rng_new,
-                        /*legacy_coalesced_tx=*/false};
-  RecordLayer layer_legacy{&pipe_legacy.a(), &provider, &rng_legacy,
-                           /*legacy_coalesced_tx=*/true};
-  Bytes wire_new;
-  Bytes wire_legacy;
-
-  void set_pacing(size_t chunk_limit, size_t capacity) {
-    pipe_new.set_chunk_limit(chunk_limit);
-    pipe_new.set_capacity(capacity);
-    pipe_legacy.set_chunk_limit(chunk_limit);
-    pipe_legacy.set_capacity(capacity);
-  }
-
-  void drain() {
-    uint8_t buf[256];
-    for (;;) {
-      const auto io = pipe_new.b().read(buf, sizeof(buf));
-      if (io.status != IoStatus::kOk || io.bytes == 0) break;
-      wire_new.insert(wire_new.end(), buf, buf + io.bytes);
-    }
-    for (;;) {
-      const auto io = pipe_legacy.b().read(buf, sizeof(buf));
-      if (io.status != IoStatus::kOk || io.bytes == 0) break;
-      wire_legacy.insert(wire_legacy.end(), buf, buf + io.bytes);
-    }
-  }
-
-  // Flush both planes to completion, draining the reader side between
-  // passes (the capacity cap forces kWantWrite on both).
-  void flush_all() {
-    for (int guard = 0; guard < 100000; ++guard) {
-      const TlsResult rn = layer_new.flush();
-      const TlsResult rl = layer_legacy.flush();
-      drain();
-      if (rn == TlsResult::kOk && rl == TlsResult::kOk) return;
-    }
-    FAIL() << "flush_all did not converge";
-  }
-};
 
 CbcHmacKeys test_cbc_keys() {
   CbcHmacKeys k;
@@ -89,18 +43,108 @@ AeadKeys test_aead_keys() {
   return k;
 }
 
-// Random interleaving of queue / queue_many / flush against a partial-write
-// transport; asserts wire parity, a working RX round trip of the new plane's
-// stream, and the copy-meter ordering.
-void run_wire_parity(bool aead, uint64_t seed) {
-  TwinRig rig;
-  if (aead) {
-    rig.layer_new.enable_encryption_tx(test_aead_keys());
-    rig.layer_legacy.enable_encryption_tx(test_aead_keys());
-  } else {
-    rig.layer_new.enable_encryption_tx(test_cbc_keys());
-    rig.layer_legacy.enable_encryption_tx(test_cbc_keys());
+void append_header(Bytes& out, ContentType type, size_t len) {
+  append_u8(out, static_cast<uint8_t>(type));
+  append_u16(out, static_cast<uint16_t>(ProtocolVersion::kTls12));
+  append_u16(out, static_cast<uint16_t>(len));
+}
+
+// The batch plane under test, on a paced pipe, next to the reference wire:
+// every payload it queues is also sealed fragment by fragment through the
+// provider's single-record seal, CBC IVs drawn from a DRBG with the layer's
+// seed, and framed back to back.
+struct WireRig {
+  explicit WireRig(bool use_aead) : aead(use_aead) {
+    if (aead) {
+      layer.enable_encryption_tx(test_aead_keys());
+    } else {
+      layer.enable_encryption_tx(test_cbc_keys());
+    }
   }
+
+  bool aead;
+  net::MemoryPipe pipe;
+  engine::SoftwareProvider provider{1};
+  HmacDrbg rng{HashAlg::kSha256, to_bytes("dataplane")};
+  RecordLayer layer{&pipe.a(), &provider, &rng};
+  Bytes wire;
+
+  HmacDrbg ref_rng{HashAlg::kSha256, to_bytes("dataplane")};
+  uint64_t ref_seq = 0;
+  uint64_t ref_records = 0;
+  Bytes ref_wire;
+
+  void reference_seal(ContentType type, BytesView fragment) {
+    Bytes body;
+    if (aead) {
+      const AeadKeys keys = test_aead_keys();
+      Bytes nonce = keys.iv;
+      for (int i = 0; i < 8; ++i)
+        nonce[nonce.size() - 1 - static_cast<size_t>(i)] ^=
+            static_cast<uint8_t>(ref_seq >> (8 * i));
+      Bytes aad;
+      append_header(aad, type, fragment.size() + kGcmTagSize);
+      auto sealed = provider.aead_seal(keys.key, nonce, aad, fragment);
+      ASSERT_TRUE(sealed.is_ok());
+      body = std::move(sealed).take();
+    } else {
+      Bytes header;
+      append_header(header, type, fragment.size());
+      body = ref_rng.generate(16);  // explicit IV prefixes the payload
+      auto sealed = provider.cipher_seal(test_cbc_keys(), ref_seq, header,
+                                         body, fragment);
+      ASSERT_TRUE(sealed.is_ok());
+      append(body, sealed.value());
+    }
+    append_header(ref_wire, type, body.size());
+    append(ref_wire, body);
+    ++ref_seq;
+    ++ref_records;
+  }
+
+  // Same fragmentation as RecordLayer::queue: an empty payload is one empty
+  // record, anything else splits at 16 KB.
+  void reference_queue(ContentType type, BytesView payload) {
+    size_t off = 0;
+    do {
+      const size_t take =
+          std::min(kMaxPlaintextFragment, payload.size() - off);
+      reference_seal(type, payload.subspan(off, take));
+      off += take;
+    } while (off < payload.size());
+  }
+
+  void set_pacing(size_t chunk_limit, size_t capacity) {
+    pipe.set_chunk_limit(chunk_limit);
+    pipe.set_capacity(capacity);
+  }
+
+  void drain() {
+    uint8_t buf[256];
+    for (;;) {
+      const auto io = pipe.b().read(buf, sizeof(buf));
+      if (io.status != IoStatus::kOk || io.bytes == 0) break;
+      wire.insert(wire.end(), buf, buf + io.bytes);
+    }
+  }
+
+  // Flush to completion, draining the reader side between passes (the
+  // capacity cap forces kWantWrite).
+  void flush_all() {
+    for (int guard = 0; guard < 100000; ++guard) {
+      const TlsResult r = layer.flush();
+      drain();
+      if (r == TlsResult::kOk) return;
+    }
+    FAIL() << "flush_all did not converge";
+  }
+};
+
+// Random interleaving of queue / queue_many / flush against a partial-write
+// transport; asserts wire parity with the reference, a working RX round trip
+// of the stream, and a zero copy meter.
+void run_wire_parity(bool aead, uint64_t seed) {
+  WireRig rig(aead);
   rig.set_pacing(/*chunk_limit=*/97, /*capacity=*/4096);
 
   std::mt19937_64 prng(seed);
@@ -117,10 +161,8 @@ void run_wire_parity(bool aead, uint64_t seed) {
     switch (prng() % 4) {
       case 0: {  // small payload (single record, possibly empty)
         const Bytes p = make_payload(5000);
-        ASSERT_TRUE(
-            rig.layer_new.queue(ContentType::kApplicationData, p).is_ok());
-        ASSERT_TRUE(
-            rig.layer_legacy.queue(ContentType::kApplicationData, p).is_ok());
+        ASSERT_TRUE(rig.layer.queue(ContentType::kApplicationData, p).is_ok());
+        rig.reference_queue(ContentType::kApplicationData, p);
         append(expected, p);
         break;
       }
@@ -128,10 +170,8 @@ void run_wire_parity(bool aead, uint64_t seed) {
         Bytes p = make_payload(24 * 1024);
         p.resize(p.size() + kMaxPlaintextFragment + 1,
                  static_cast<uint8_t>(prng()));
-        ASSERT_TRUE(
-            rig.layer_new.queue(ContentType::kApplicationData, p).is_ok());
-        ASSERT_TRUE(
-            rig.layer_legacy.queue(ContentType::kApplicationData, p).is_ok());
+        ASSERT_TRUE(rig.layer.queue(ContentType::kApplicationData, p).is_ok());
+        rig.reference_queue(ContentType::kApplicationData, p);
         append(expected, p);
         break;
       }
@@ -144,19 +184,16 @@ void run_wire_parity(bool aead, uint64_t seed) {
           views.emplace_back(p);
           append(expected, p);
         }
-        ASSERT_TRUE(rig.layer_new
-                        .queue_many(ContentType::kApplicationData, views)
-                        .is_ok());
-        // The legacy plane has no multi-payload entry; per-payload queue is
-        // its defined equivalent (same records, same order).
+        ASSERT_TRUE(
+            rig.layer.queue_many(ContentType::kApplicationData, views).is_ok());
+        // One batch over several payloads is defined as the same records,
+        // in the same order, as queueing each payload on its own.
         for (const BytesView& v : views)
-          ASSERT_TRUE(
-              rig.layer_legacy.queue(ContentType::kApplicationData, v).is_ok());
+          rig.reference_queue(ContentType::kApplicationData, v);
         break;
       }
       case 3: {  // partial flush + drain
-        (void)rig.layer_new.flush();
-        (void)rig.layer_legacy.flush();
+        (void)rig.layer.flush();
         rig.drain();
         break;
       }
@@ -164,19 +201,16 @@ void run_wire_parity(bool aead, uint64_t seed) {
   }
   rig.flush_all();
 
-  ASSERT_EQ(rig.wire_new.size(), rig.wire_legacy.size());
-  EXPECT_EQ(rig.wire_new, rig.wire_legacy)
-      << "wire divergence between batched and legacy TX planes";
-  EXPECT_EQ(rig.layer_new.records_sent(), rig.layer_legacy.records_sent());
-  EXPECT_EQ(rig.layer_new.bytes_sent(), rig.layer_legacy.bytes_sent());
-  // Copy meter: the iovec-chain plane must beat the coalesced baseline (it
-  // only pays the sealed-append the engine makes; the legacy plane re-stages
-  // every wire byte).
-  if (!expected.empty()) {
-    EXPECT_LT(rig.layer_new.bytes_copied(), rig.layer_legacy.bytes_copied());
-  }
+  ASSERT_EQ(rig.wire.size(), rig.ref_wire.size());
+  EXPECT_EQ(rig.wire, rig.ref_wire)
+      << "wire divergence between the batch plane and the reference sealer";
+  EXPECT_EQ(rig.layer.records_sent(), rig.ref_records);
+  EXPECT_EQ(rig.layer.bytes_sent(), rig.ref_wire.size());
+  // Copy meter: the provider seals straight into each record's payload
+  // block, so the plane stages no payload byte.
+  EXPECT_EQ(rig.layer.bytes_copied(), 0u);
 
-  // RX round trip: the new plane's stream decodes back to the queued bytes.
+  // RX round trip: the stream decodes back to the queued bytes.
   net::MemoryPipe rx_pipe;
   engine::SoftwareProvider rx_provider{2};
   HmacDrbg rx_rng{HashAlg::kSha256, to_bytes("rx")};
@@ -190,9 +224,9 @@ void run_wire_parity(bool aead, uint64_t seed) {
   Bytes decoded;
   int guard = 0;
   while (decoded.size() < expected.size() && guard++ < 1000000) {
-    if (fed < rig.wire_new.size()) {
-      const size_t n = std::min<size_t>(1024, rig.wire_new.size() - fed);
-      const auto io = rx_pipe.a().write(rig.wire_new.data() + fed, n);
+    if (fed < rig.wire.size()) {
+      const size_t n = std::min<size_t>(1024, rig.wire.size() - fed);
+      const auto io = rx_pipe.a().write(rig.wire.data() + fed, n);
       ASSERT_EQ(io.status, IoStatus::kOk);
       fed += io.bytes;
     }

@@ -212,9 +212,10 @@ TEST(SslEngineConf, ParsesTopologyBlock) {
   qat::TopologyConfig tc;
   tc.num_devices = 4;
   tc.numa_nodes = 2;
+  tc.worker_affinity = t.worker_affinity;
   qat::DeviceTopology topo(tc);
-  EXPECT_EQ(t.affinity_for(1, 8, topo), 2);
-  EXPECT_EQ(t.affinity_for(5, 8, topo), 2);  // wraps: 5 % 4 -> slot 1
+  EXPECT_EQ(topo.preferred_device(1, 8), 2);
+  EXPECT_EQ(topo.preferred_device(5, 8), 2);  // wraps: 5 % 4 -> slot 1
   // Defaults when the block is absent: a single device, striping policy.
   auto plain = parse_ssl_engine_settings(
       "ssl_engine { use qat_engine; qat_engine { qat_offload_mode sync; } }");

@@ -420,7 +420,7 @@ client::ClientStats drive_pool_clients(server::WorkerPool& pool,
 }
 
 void run_cross_worker(bool session_tickets) {
-  qat::QatDevice device;
+  qat::DeviceTopology topo{qat::TopologyConfig{}};
   server::WorkerPoolOptions options;
   options.workers = 4;
   options.tls_config.async_mode = true;
@@ -428,7 +428,7 @@ void run_cross_worker(bool session_tickets) {
   options.tls_config.cipher_suites = {
       CipherSuite::kEcdheRsaWithAes128CbcSha};
 
-  server::WorkerPool pool(&device, &test_rsa2048(), options);
+  server::WorkerPool pool(&topo, &test_rsa2048(), options);
   ASSERT_TRUE(pool.start(0).is_ok());
   const client::ClientStats cstats =
       drive_pool_clients(pool, session_tickets, /*clients=*/12,

@@ -13,7 +13,7 @@ namespace qtls::server {
 namespace {
 
 TEST(WorkerPool, ServesTcpClientsAcrossWorkers) {
-  qat::QatDevice device;  // 3 endpoints x 12 engines
+  qat::DeviceTopology topo{qat::TopologyConfig{}};  // one 3x12 device
 
   WorkerPoolOptions options;
   options.workers = 2;
@@ -22,7 +22,7 @@ TEST(WorkerPool, ServesTcpClientsAcrossWorkers) {
       tls::CipherSuite::kEcdheRsaWithAes128CbcSha};
   options.response_body_size = 2048;
 
-  WorkerPool pool(&device, &test_rsa2048(), options);
+  WorkerPool pool(&topo, &test_rsa2048(), options);
   ASSERT_TRUE(pool.start(0).is_ok());
   ASSERT_GT(pool.port(), 0);
 
@@ -75,7 +75,8 @@ TEST(WorkerPool, ServesTcpClientsAcrossWorkers) {
 }
 
 TEST(WorkerPool, MultipleInstancesPerWorker) {
-  qat::QatDevice device;
+  qat::DeviceTopology topo{qat::TopologyConfig{}};
+  qat::QatDevice& device = topo.device(0);
   WorkerPoolOptions options;
   options.workers = 1;
   options.instances_per_worker = 3;  // §2.3: more engines for one process
@@ -83,7 +84,7 @@ TEST(WorkerPool, MultipleInstancesPerWorker) {
   options.tls_config.cipher_suites = {
       tls::CipherSuite::kTlsRsaWithAes128CbcSha};
 
-  WorkerPool pool(&device, &test_rsa2048(), options);
+  WorkerPool pool(&topo, &test_rsa2048(), options);
   ASSERT_TRUE(pool.start(0).is_ok());
 
   engine::SoftwareProvider client_provider;
@@ -122,6 +123,9 @@ TEST(WorkerPool, MultipleInstancesPerWorker) {
 TEST(WorkerPool, TopologyPoolPlacesWorkersAndReportsFleet) {
   qat::TopologyConfig tc;
   tc.num_devices = 2;
+  // Explicit map (conf: worker_affinity) deliberately inverted vs striping
+  // so the test can tell the two policies apart.
+  tc.worker_affinity = {1, 0};
   qat::DeviceTopology topo(tc);
 
   WorkerPoolOptions options;
@@ -129,15 +133,15 @@ TEST(WorkerPool, TopologyPoolPlacesWorkersAndReportsFleet) {
   options.tls_config.async_mode = true;
   options.tls_config.cipher_suites = {
       tls::CipherSuite::kTlsRsaWithAes128CbcSha};
-  // Explicit map (conf: worker_affinity) deliberately inverted vs striping
-  // so the test can tell the two policies apart.
-  options.worker_affinity = {1, 0};
 
   WorkerPool pool(&topo, &test_rsa2048(), options);
   ASSERT_TRUE(pool.start(0).is_ok());
   ASSERT_EQ(pool.topology(), &topo);
   EXPECT_EQ(pool.engine(0)->preferred_device(), 1);
   EXPECT_EQ(pool.engine(1)->preferred_device(), 0);
+  // The map decides where the instances come from, not just the label.
+  EXPECT_EQ(pool.engine(0)->lane_device(0), 1);
+  EXPECT_EQ(pool.engine(1)->lane_device(0), 0);
 
   engine::SoftwareProvider client_provider;
   tls::TlsContextConfig ccfg;
