@@ -2,7 +2,13 @@
 // software costs that inform the cost model's SW column (sim/costs.h) —
 // note this machine's absolute numbers differ from the paper's E5-2699 v4,
 // which is why the simulator uses the paper-anchored constants instead.
+// The asymmetric rows also report allocs_per_op: operator new calls inside
+// the timed loop, per iteration.
 #include <benchmark/benchmark.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
 
 #include "crypto/aes.h"
 #include "crypto/ec.h"
@@ -10,12 +16,50 @@
 #include "crypto/gcm.h"
 #include "crypto/keystore.h"
 
+namespace {
+std::atomic<uint64_t> g_allocs{0};
+}  // namespace
+
+// Replacements of the global allocation functions (noinline keeps GCC from
+// pairing an inlined malloc with an inlined free across them).
+__attribute__((noinline)) void* operator new(size_t size) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size != 0 ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+__attribute__((noinline)) void operator delete(void* p) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete(void* p, size_t) noexcept {
+  std::free(p);
+}
+
 namespace qtls {
 namespace {
+
+// Sets the allocs_per_op counter from the operator new calls made between
+// its construction (just before the timed loop) and its destruction.
+class AllocsPerOp {
+ public:
+  explicit AllocsPerOp(benchmark::State& state)
+      : state_(state), start_(g_allocs.load(std::memory_order_relaxed)) {}
+  ~AllocsPerOp() {
+    const uint64_t allocs = g_allocs.load(std::memory_order_relaxed) - start_;
+    state_.counters["allocs_per_op"] =
+        static_cast<double>(allocs) /
+        static_cast<double>(std::max<benchmark::IterationCount>(
+            state_.iterations(), 1));
+  }
+
+ private:
+  benchmark::State& state_;
+  uint64_t start_;
+};
 
 void BM_RsaSign2048(benchmark::State& state) {
   const RsaPrivateKey& key = test_rsa2048();
   const Bytes digest = sha256(to_bytes("bench"));
+  const AllocsPerOp allocs(state);
   for (auto _ : state) {
     benchmark::DoNotOptimize(rsa_sign_pkcs1(key, digest));
   }
@@ -26,6 +70,7 @@ void BM_RsaVerify2048(benchmark::State& state) {
   const RsaPrivateKey& key = test_rsa2048();
   const Bytes digest = sha256(to_bytes("bench"));
   const Bytes sig = rsa_sign_pkcs1(key, digest);
+  const AllocsPerOp allocs(state);
   for (auto _ : state) {
     benchmark::DoNotOptimize(rsa_verify_pkcs1(key.pub, digest, sig).is_ok());
   }
@@ -36,6 +81,7 @@ void BM_EcdsaSignP256(benchmark::State& state) {
   HmacDrbg rng = make_test_drbg(1);
   const EcKeyPair& key = test_ec_key_p256();
   const Bytes digest = sha256(to_bytes("bench"));
+  const AllocsPerOp allocs(state);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         ecdsa_sign(curve_p256(), key.priv, digest, rng));
@@ -47,11 +93,22 @@ void BM_EcdhP256(benchmark::State& state) {
   HmacDrbg rng = make_test_drbg(2);
   const EcKeyPair a = ec_generate_key(curve_p256(), rng);
   const EcKeyPair b = ec_generate_key(curve_p256(), rng);
+  const AllocsPerOp allocs(state);
   for (auto _ : state) {
     benchmark::DoNotOptimize(ecdh_shared_secret(curve_p256(), a.priv, b.pub));
   }
 }
 BENCHMARK(BM_EcdhP256)->Unit(benchmark::kMicrosecond);
+
+// The ECDHE keygen every full handshake runs (a fresh ephemeral key).
+void BM_EcKeygenP256(benchmark::State& state) {
+  HmacDrbg rng = make_test_drbg(5);
+  const AllocsPerOp allocs(state);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ec_generate_key(curve_p256(), rng));
+  }
+}
+BENCHMARK(BM_EcKeygenP256)->Unit(benchmark::kMicrosecond);
 
 void BM_EcdhP384(benchmark::State& state) {
   HmacDrbg rng = make_test_drbg(3);

@@ -5,6 +5,8 @@
 #include <cassert>
 #include <stdexcept>
 
+#include "crypto/asym_impl.h"
+
 namespace qtls {
 
 using u128 = unsigned __int128;
@@ -338,10 +340,18 @@ uint64_t neg_inv_mod_2_64(uint64_t n) {
 }
 }  // namespace
 
-MontCtx::MontCtx(const Bignum& modulus) : n_(modulus) {
+MontCtx::MontCtx(const Bignum& modulus)
+    : MontCtx(modulus, modulus.limb_count() == 16 || modulus.limb_count() == 32
+                           ? asym_impl::Path::kFixed
+                           : asym_impl::Path::kGeneric) {}
+
+MontCtx::MontCtx(const Bignum& modulus, asym_impl::Path path)
+    : path_(path), n_(modulus) {
   if (!modulus.is_odd())
     throw std::invalid_argument("MontCtx requires odd modulus");
   k_ = n_.limb_count();
+  if (path_ == asym_impl::Path::kFixed && k_ != 16 && k_ != 32)
+    throw std::invalid_argument("fixed-width MontCtx needs 16 or 32 limbs");
   n0inv_ = neg_inv_mod_2_64(n_.limb(0));
   // R^2 mod n, R = 2^(64k).
   Bignum r2 = Bignum::shl(Bignum(1), 64 * k_ * 2);
@@ -395,27 +405,24 @@ Bignum MontCtx::mul(const Bignum& a, const Bignum& b) const {
 }
 
 Bignum MontCtx::exp(const Bignum& a, const Bignum& e) const {
+  if (path_ == asym_impl::Path::kFixed)
+    return asym_impl::fixed_mont_exp(*this, a, e);
   if (e.is_zero()) return Bignum::mod(Bignum(1), n_);
   const Bignum base = to_mont(Bignum::mod(a, n_));
 
-  // Fixed 4-bit windows.
-  constexpr int kWindow = 4;
-  std::vector<Bignum> table(1 << kWindow);
-  table[0] = one_mont();
-  table[1] = base;
-  for (size_t i = 2; i < table.size(); ++i) table[i] = mul(table[i - 1], base);
-
-  const size_t bits = e.bit_length();
-  const size_t windows = (bits + kWindow - 1) / kWindow;
-  Bignum acc = one_mont();
-  for (size_t w = windows; w-- > 0;) {
-    for (int s = 0; s < kWindow; ++s) acc = mul(acc, acc);
-    uint64_t idx = 0;
-    for (int b = kWindow - 1; b >= 0; --b) {
-      idx = (idx << 1) | (e.bit(w * kWindow + static_cast<size_t>(b)) ? 1 : 0);
-    }
-    if (idx != 0) acc = mul(acc, table[idx]);
+  // Odd powers base^1, base^3, ... for the sliding windows.
+  const int w = asym_impl::exp_window_bits(e.bit_length());
+  std::vector<Bignum> table(size_t{1} << (w - 1));
+  table[0] = base;
+  if (table.size() > 1) {
+    const Bignum base2 = mul(base, base);
+    for (size_t i = 1; i < table.size(); ++i)
+      table[i] = mul(table[i - 1], base2);
   }
+  Bignum acc;
+  asym_impl::scan_windows(
+      e, w, [&](size_t i) { acc = table[i]; }, [&] { acc = mul(acc, acc); },
+      [&](size_t i) { acc = mul(acc, table[i]); });
   return from_mont(acc);
 }
 

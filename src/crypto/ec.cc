@@ -3,10 +3,32 @@
 #include <algorithm>
 #include <vector>
 
+#include "crypto/asym_impl.h"
 #include "crypto/kdf.h"
 #include "crypto/primes.h"
 
 namespace qtls {
+
+namespace {
+
+struct CurveHex {
+  const char* p;
+  const char* a;
+  const char* b;
+  const char* gx;
+  const char* gy;
+  const char* n;
+};
+
+constexpr CurveHex kP256 = {
+    "ffffffff00000001000000000000000000000000ffffffffffffffffffffffff",
+    "ffffffff00000001000000000000000000000000fffffffffffffffffffffffc",
+    "5ac635d8aa3a93e7b3ebbd55769886bc651d06b0cc53b0f63bce3c3e27d2604b",
+    "6b17d1f2e12c4247f8bce6e563a440f277037d812deb33a0f4a13945d898c296",
+    "4fe342e2fe1a7f9b8ee7eb4a7c0f9e162bce33576b315ececbb6406837bf51f5",
+    "ffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632551"};
+
+}  // namespace
 
 // Jacobian point with coordinates in the Montgomery domain of the field.
 struct EcCurve::Jacobian {
@@ -28,9 +50,18 @@ EcCurve::EcCurve(std::string name, const std::string& p_hex,
       mont_(std::make_unique<MontCtx>(p_)) {
   a_mont_ = mont_->to_mont(a_);
   b_mont_ = mont_->to_mont(b_);
+  // The dedicated P-256 code hard-wires p, a = -3, b and G.
+  const bool p256 = p_ == Bignum::from_hex(kP256.p) &&
+                    a_ == Bignum::from_hex(kP256.a) &&
+                    b_ == Bignum::from_hex(kP256.b) &&
+                    gx_ == Bignum::from_hex(kP256.gx) &&
+                    gy_ == Bignum::from_hex(kP256.gy) &&
+                    n_ == Bignum::from_hex(kP256.n);
+  path_ = p256 ? asym_impl::Path::kFixed : asym_impl::Path::kGeneric;
 }
 
 bool EcCurve::on_curve(const EcPoint& pt) const {
+  if (path_ == asym_impl::Path::kFixed) return asym_impl::p256::on_curve(pt);
   if (pt.infinity) return true;
   if (Bignum::cmp(pt.x, p_) >= 0 || Bignum::cmp(pt.y, p_) >= 0) return false;
   // y^2 == x^3 + ax + b (mod p)
@@ -147,8 +178,9 @@ EcPoint EcCurve::dbl(const EcPoint& pt) const {
 }
 
 EcPoint EcCurve::mul(const Bignum& k, const EcPoint& pt) const {
-  Bignum scalar = Bignum::cmp(k, n_) >= 0 ? Bignum::mod(k, n_) : k;
-  if (scalar.is_zero() || pt.infinity) return EcPoint::at_infinity();
+  if (Bignum::cmp(k, n_) >= 0) return mul(Bignum::mod(k, n_), pt);
+  if (k.is_zero() || pt.infinity) return EcPoint::at_infinity();
+  if (path_ == asym_impl::Path::kFixed) return asym_impl::p256::mul(k, pt);
 
   // 4-bit fixed window.
   constexpr size_t kWindow = 4;
@@ -158,17 +190,24 @@ EcPoint EcCurve::mul(const Bignum& k, const EcPoint& pt) const {
   table[1] = base;
   for (size_t i = 2; i < table.size(); ++i) table[i] = jadd(table[i - 1], base);
 
-  const size_t bits = scalar.bit_length();
+  const size_t bits = k.bit_length();
   const size_t windows = (bits + kWindow - 1) / kWindow;
   Jacobian acc{Bignum(), Bignum(), Bignum()};
   for (size_t w = windows; w-- > 0;) {
     for (size_t s = 0; s < kWindow; ++s) acc = jdbl(acc);
     uint64_t idx = 0;
     for (size_t b = kWindow; b-- > 0;)
-      idx = (idx << 1) | (scalar.bit(w * kWindow + b) ? 1 : 0);
+      idx = (idx << 1) | (k.bit(w * kWindow + b) ? 1 : 0);
     if (idx != 0) acc = jadd(acc, table[idx]);
   }
   return to_affine(acc);
+}
+
+EcPoint EcCurve::mul_base(const Bignum& k) const {
+  if (path_ != asym_impl::Path::kFixed) return mul(k, generator());
+  if (Bignum::cmp(k, n_) >= 0) return mul_base(Bignum::mod(k, n_));
+  if (k.is_zero()) return EcPoint::at_infinity();
+  return asym_impl::p256::mul_base(k);
 }
 
 Bytes EcCurve::encode_point(const EcPoint& pt) const {
@@ -197,15 +236,20 @@ Result<EcPoint> EcCurve::decode_point(BytesView data) const {
 }
 
 const EcCurve& curve_p256() {
-  static const EcCurve curve(
-      "P-256",
-      "ffffffff00000001000000000000000000000000ffffffffffffffffffffffff",
-      "ffffffff00000001000000000000000000000000fffffffffffffffffffffffc",
-      "5ac635d8aa3a93e7b3ebbd55769886bc651d06b0cc53b0f63bce3c3e27d2604b",
-      "6b17d1f2e12c4247f8bce6e563a440f277037d812deb33a0f4a13945d898c296",
-      "4fe342e2fe1a7f9b8ee7eb4a7c0f9e162bce33576b315ececbb6406837bf51f5",
-      "ffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632551");
+  static const EcCurve curve("P-256", kP256.p, kP256.a, kP256.b, kP256.gx,
+                             kP256.gy, kP256.n);
   return curve;
+}
+
+const EcCurve& asym_impl::Access::p256(Path path) {
+  if (path == Path::kFixed) return curve_p256();
+  static const EcCurve generic = [] {
+    EcCurve curve("P-256", kP256.p, kP256.a, kP256.b, kP256.gx, kP256.gy,
+                  kP256.n);
+    curve.path_ = Path::kGeneric;
+    return curve;
+  }();
+  return generic;
 }
 
 const EcCurve& curve_p384() {

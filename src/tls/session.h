@@ -15,10 +15,8 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <optional>
-#include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/status.h"
@@ -38,16 +36,31 @@ struct SessionState {
 // Expiry clamps clock skew: an entry dated in the future (virtual-time
 // restart, cross-worker skew) has age 0, it is never treated as expired by
 // unsigned underflow. Eviction prefers expired entries over the LRU tail.
+//
+// Storage is flat: one vector of fixed-size slots (id, master secret
+// inline, suite, creation time, 32-bit LRU links) and an open-addressed
+// index of slot numbers, both grown on demand up to the capacity, so an
+// empty cache owns no memory and an entry costs no heap block of its own.
+// Removing an entry moves the last slot into its place.
 class SessionCache {
  public:
-  explicit SessionCache(size_t capacity = 10'000,
-                        uint64_t lifetime_ms = 3'600'000)
-      : capacity_(capacity), lifetime_ms_(lifetime_ms) {}
+  static constexpr size_t kMaxSecret = 48;
 
+  explicit SessionCache(size_t capacity = 10'000,
+                        uint64_t lifetime_ms = 3'600'000);
+
+  // Session ids are kSessionIdSize bytes and master secrets at most
+  // kMaxSecret bytes: put() ignores anything else, get() counts it a miss.
   void put(const Bytes& session_id, SessionState state, uint64_t now_ms);
   std::optional<SessionState> get(const Bytes& session_id, uint64_t now_ms);
   void remove(const Bytes& session_id);
-  size_t size() const { return map_.size(); }
+  size_t size() const { return slots_.size(); }
+  // Slot and index memory owned (allocated, not occupied): 0 until the
+  // first put.
+  size_t bytes() const {
+    return slots_.capacity() * sizeof(Slot) +
+           index_.capacity() * sizeof(uint32_t);
+  }
 
   uint64_t hits() const { return hits_; }
   uint64_t misses() const { return misses_; }
@@ -65,22 +78,39 @@ class SessionCache {
   uint64_t removes() const { return removes_; }
 
  private:
-  struct Entry {
-    SessionState state;
-    std::list<std::string>::iterator lru_it;
+  static constexpr uint32_t kNone = 0xffffffffu;
+
+  struct Slot {
+    uint8_t id[kSessionIdSize];
+    uint8_t secret[kMaxSecret];
+    uint64_t created_at_ms;
+    CipherSuite suite;
+    uint8_t secret_len;
+    uint32_t prev;  // toward the most recent entry; kNone at the head
+    uint32_t next;  // toward the least recent entry; kNone at the tail
   };
 
-  bool expired(const SessionState& state, uint64_t now_ms) const {
+  bool expired(uint64_t created_at_ms, uint64_t now_ms) const {
     // Future-dated entries clamp to age 0 rather than underflowing.
-    return now_ms >= state.created_at_ms &&
-           now_ms - state.created_at_ms > lifetime_ms_;
+    return now_ms >= created_at_ms && now_ms - created_at_ms > lifetime_ms_;
   }
+  size_t home(const uint8_t* id) const;
+  // The index cell holding id's slot, or the empty cell that ends its probe.
+  size_t cell_of(const uint8_t* id) const;
+  void grow();
+  void link_front(uint32_t s);
+  void unlink(uint32_t s);
+  // Unlinks slot s, drops it from the index and fills its place with the
+  // last slot.
+  void erase(uint32_t s);
   void evict_one(uint64_t now_ms);
 
   size_t capacity_;
   uint64_t lifetime_ms_;
-  std::unordered_map<std::string, Entry> map_;
-  std::list<std::string> lru_;  // front = most recent
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> index_;  // slot numbers, kNone = empty; power of two
+  uint32_t head_ = kNone;        // most recent
+  uint32_t tail_ = kNone;        // least recent
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
   uint64_t inserts_ = 0;

@@ -134,6 +134,15 @@ size_t ShardedSessionCache::size() const {
   return total;
 }
 
+size_t ShardedSessionCache::bytes() const {
+  size_t total = 0;
+  for (const auto& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard->mu);
+    total += shard->cache.bytes();
+  }
+  return total;
+}
+
 // ------------------------------------------------------------ key ring ----
 
 TicketKeyRing::TicketKeyRing(BytesView seed, uint64_t rotate_interval_ms,
@@ -246,6 +255,7 @@ std::string SessionPlane::stats_json(uint64_t now_ms) const {
   std::ostringstream os;
   os << "{\"cache_shards\":" << cache_.shards()
      << ",\"cache_size\":" << cache_.size()
+     << ",\"cache_bytes\":" << cache_.bytes()
      << ",\"cache_hits\":" << cache_.hits()
      << ",\"cache_misses\":" << cache_.misses()
      << ",\"cache_inserts\":" << cache_.inserts()

@@ -52,6 +52,9 @@ class ShardedSessionCache {
 
   size_t size() const;  // sum over shards (racy-but-consistent per shard)
   size_t shards() const { return shards_.size(); }
+  // Slot and index memory the shards own (SessionCache::bytes); 0 until
+  // the first put.
+  size_t bytes() const;
 
   uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
   uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
