@@ -26,8 +26,6 @@ class Aes {
   void encrypt_block(const uint8_t in[16], uint8_t out[16]) const;
   void decrypt_block(const uint8_t in[16], uint8_t out[16]) const;
 
-  size_t key_bits() const { return rounds_ == 10 ? 128 : 256; }
-
  private:
   friend struct aes_impl::Access;
   Aes(BytesView key, aes_impl::Path path);

@@ -33,48 +33,6 @@ uint64_t deadline_after_us(uint64_t us) {
   return us == 0 ? 0 : steady_now_ns() + us * 1'000ULL;
 }
 
-// Global-registry mirrors of the QatEngineStats failure counters, so the
-// /stats endpoint and periodic dumps see every provider's totals without
-// walking provider instances. Interned once; increments are shard-local.
-struct EngineObsCounters {
-  obs::Counter submitted, completed, submit_retry, device_error, retry,
-      deadline_expiry, sw_fallback, breaker_open, breaker_close, seal_batch,
-      seal_batch_op, migration, lane_spill, lane_open, lane_close, remote_op,
-      remote_completed, remote_expiry, remote_failure, remote_batch,
-      remote_breaker_open, remote_breaker_close;
-
-  EngineObsCounters() {
-    auto& reg = obs::MetricsRegistry::global();
-    submitted = reg.counter("qat.engine.submitted");
-    completed = reg.counter("qat.engine.completed");
-    submit_retry = reg.counter("qat.engine.submit_retry");
-    device_error = reg.counter("qat.engine.device_error");
-    retry = reg.counter("qat.engine.retry");
-    deadline_expiry = reg.counter("qat.engine.deadline_expiry");
-    sw_fallback = reg.counter("qat.engine.sw_fallback");
-    breaker_open = reg.counter("qat.engine.breaker_open");
-    breaker_close = reg.counter("qat.engine.breaker_close");
-    seal_batch = reg.counter("qat.engine.seal_batch");
-    seal_batch_op = reg.counter("qat.engine.seal_batch_op");
-    migration = reg.counter("qat.engine.migration");
-    lane_spill = reg.counter("qat.engine.lane_spillover");
-    lane_open = reg.counter("qat.engine.lane_breaker_open");
-    lane_close = reg.counter("qat.engine.lane_breaker_close");
-    remote_op = reg.counter("qat.engine.remote_op");
-    remote_completed = reg.counter("qat.engine.remote_completed");
-    remote_expiry = reg.counter("qat.engine.remote_expiry");
-    remote_failure = reg.counter("qat.engine.remote_failure");
-    remote_batch = reg.counter("qat.engine.remote_batch");
-    remote_breaker_open = reg.counter("qat.engine.remote_breaker_open");
-    remote_breaker_close = reg.counter("qat.engine.remote_breaker_close");
-  }
-};
-
-EngineObsCounters& obs_counters() {
-  static EngineObsCounters counters;
-  return counters;
-}
-
 // TX copy meter shared with tls/record.cc and engine/provider.cc — the
 // engine appending a retrieved seal result into the output block is a
 // staging copy on the TX path (the input marshalling into the compute
@@ -201,7 +159,6 @@ void QatEngineProvider::expire(OpState& s) {
   s.stage.store(kAbandoned, std::memory_order_release);
   inflight_[s.cls].fetch_sub(1, std::memory_order_release);
   ++stats_.deadline_expiries;
-  obs_counters().deadline_expiry.inc();
   if (s.wctx) s.wctx->notify();
 }
 
@@ -222,13 +179,11 @@ void QatEngineProvider::class_outcome(qat::OpClass cls, bool ok) {
   if (ok) {
     if (!b.on_success()) return;
     ++stats_.breaker_closes;
-    obs_counters().breaker_close.inc();
     QTLS_INFO << "qat breaker closed for class " << static_cast<int>(cls)
               << " (re-probe succeeded)";
   } else if (b.on_failure(config_.breaker_threshold,
                           config_.breaker_cooldown_ms)) {
     ++stats_.breaker_opens;
-    obs_counters().breaker_open.inc();
     QTLS_WARN << "qat breaker open for class " << static_cast<int>(cls)
               << " after " << b.failures()
               << " consecutive failures; degrading to software";
@@ -242,7 +197,6 @@ void QatEngineProvider::lane_outcome(DeviceLane& lane, bool ok) {
   if (ok) {
     if (!b.on_success()) return;
     ++stats_.lane_breaker_closes;
-    obs_counters().lane_close.inc();
     QTLS_INFO << "qat lane for device " << lane.device_id
               << " rebound (re-probe succeeded)";
   } else if (b.on_failure(config_.breaker_threshold,
@@ -251,7 +205,6 @@ void QatEngineProvider::lane_outcome(DeviceLane& lane, bool ok) {
       lane.seen_generation.store(topology_->generation(),
                                  std::memory_order_release);
     ++stats_.lane_breaker_opens;
-    obs_counters().lane_open.inc();
     QTLS_WARN << "qat lane for device " << lane.device_id << " tripped after "
               << b.failures() << " consecutive device failures; shifting load";
   }
@@ -262,12 +215,10 @@ void QatEngineProvider::remote_outcome(bool ok) {
   if (ok) {
     if (!b.on_success()) return;
     ++stats_.remote_breaker_closes;
-    obs_counters().remote_breaker_close.inc();
     QTLS_INFO << "remote offload tier recovered (re-probe succeeded)";
   } else if (b.on_failure(config_.remote_breaker_threshold,
                           config_.remote_breaker_cooldown_ms)) {
     ++stats_.remote_breaker_opens;
-    obs_counters().remote_breaker_open.inc();
     QTLS_WARN << "remote offload tier tripped after " << b.failures()
               << " consecutive failures; ladder skips to software";
   }
@@ -367,7 +318,6 @@ QatEngineProvider::DeviceLane* QatEngineProvider::choose_lane(
     // The affine lane was down, tripped, excluded or too deep — count the
     // diversion so load-shift during an outage is visible.
     ++stats_.lane_spillovers;
-    obs_counters().lane_spill.inc();
     return best;
   }
 
@@ -510,10 +460,8 @@ void QatEngineProvider::submit_to_device(qat::OpKind kind,
             : std::span<qat::CryptoRequest>(&single, 1);
   for (size_t i = 0; i < n; ++i) {
     Op& op = ops[i];
-    if (op.device >= 0 && op.device != lane->device_id) {
+    if (op.device >= 0 && op.device != lane->device_id)
       ++stats_.device_migrations;
-      obs_counters().migration.inc();
-    }
     op.device = lane->device_id;
     ++op.attempts;
     // Fresh per-attempt state: an abandoned attempt's state may still be
@@ -557,7 +505,6 @@ void QatEngineProvider::submit_to_device(qat::OpKind kind,
   size_t accepted = 0;
   while ((accepted += target->submit_batch(reqs.subspan(accepted))) < n) {
     ++stats_.submit_retries;
-    obs_counters().submit_retry.inc();
     if (job) {
       // Notify immediately so the application reschedules this handler to
       // retry the submission.
@@ -570,13 +517,10 @@ void QatEngineProvider::submit_to_device(qat::OpKind kind,
   }
   lane->submitted.fetch_add(n, std::memory_order_relaxed);
   stats_.submitted += n;
-  obs_counters().submitted.add(n);
   if (n > 1) {
     ++stats_.seal_batches;
     stats_.seal_batch_ops += n;
     stats_.max_seal_batch = std::max<uint64_t>(stats_.max_seal_batch, n);
-    obs_counters().seal_batch.inc();
-    obs_counters().seal_batch_op.add(n);
   }
 
   const uint64_t deadline_ns = deadline_after_us(config_.op_deadline_us);
@@ -611,7 +555,6 @@ void QatEngineProvider::submit_to_device(qat::OpKind kind,
     const bool expired = s->stage.load(std::memory_order_acquire) == kAbandoned;
     if (!expired) {
       ++stats_.completed;  // one per retrieved response
-      obs_counters().completed.inc();
       if (s->trace.sampled) {
         // Post-processing resumes here: close the trace and fold the stage
         // deltas into the per-stage histograms.
@@ -629,7 +572,6 @@ void QatEngineProvider::submit_to_device(qat::OpKind kind,
         continue;
       }
       ++stats_.device_errors;
-      obs_counters().device_error.inc();
     }
     // The device failed the record (CPA_STATUS_FAIL / reset-in-flight) or
     // swallowed it (deadline). The lane is charged either way. An expired
@@ -639,7 +581,6 @@ void QatEngineProvider::submit_to_device(qat::OpKind kind,
     op.retry = !expired && op.attempts < max_attempts;
     if (op.retry) {
       ++stats_.op_retries;
-      obs_counters().retry.inc();
     } else if (!other_lane_available(lane->device_id) && !remote_tier_live()) {
       // Terminal. The class breaker is charged only when no surviving
       // device AND no live remote tier could take the class — otherwise the
@@ -672,7 +613,6 @@ void QatEngineProvider::submit_to_remote(qat::OpClass cls,
     state->wctx = wctx;
     op.hop = state;
     ++stats_.remote_ops;
-    obs_counters().remote_op.inc();
     if (remote_->submit(op.remote_op, op.encode(), deadline_ns,
                         [state](remote::RemoteStatus st, BytesView payload) {
                           state->remote_status = st;
@@ -692,10 +632,7 @@ void QatEngineProvider::submit_to_remote(qat::OpClass cls,
     inflight_[static_cast<int>(cls)].fetch_add(submitted,
                                                std::memory_order_release);
     remote_->flush();
-    if (n > 1) {
-      ++stats_.remote_batches;
-      obs_counters().remote_batch.inc();
-    }
+    if (n > 1) ++stats_.remote_batches;
   }
   // The worker's poll cadence pumps the channel; its deadline sweep (or
   // channel death) bounds this wait.
@@ -727,7 +664,6 @@ void QatEngineProvider::submit_to_remote(qat::OpClass cls,
         break;
       case remote::RemoteStatus::kDeadlineExpired:
         ++stats_.remote_expiries;
-        obs_counters().remote_expiry.inc();
         remote_outcome(false);
         continue;
       default:  // kBudgetExhausted, kBadRequest, kChannelDown
@@ -735,11 +671,9 @@ void QatEngineProvider::submit_to_remote(qat::OpClass cls,
     }
     if (op.settled) {
       ++stats_.remote_completed;
-      obs_counters().remote_completed.inc();
       remote_outcome(true);
     } else {
       ++stats_.remote_failures;
-      obs_counters().remote_failure.inc();
       remote_outcome(false);
     }
   }
@@ -753,7 +687,6 @@ void QatEngineProvider::last_step(std::span<Op> ops, bool device_tried) {
       continue;
     }
     ++stats_.sw_fallbacks;
-    obs_counters().sw_fallback.inc();
     op.result = op.compute();
   }
 }

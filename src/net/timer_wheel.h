@@ -71,10 +71,6 @@ class TimerWheel {
   uint64_t fired_total() const { return fired_total_; }
   uint64_t cancelled_total() const { return cancelled_total_; }
 
-  // Node-pool occupancy (the churn soak's conservation assertions; also
-  // aggregated into the worker's memory stats).
-  common::SlabStats slab_stats() const { return pool_.stats(); }
-
  private:
   struct Node {
     uint64_t deadline_ms = 0;

@@ -176,7 +176,6 @@ void engine_busy_wait(uint64_t ns) {
 
 void QatEndpoint::serve(EngineSlot& slot, CryptoRequest& req,
                         CryptoInstance* from) {
-  busy_.fetch_add(1, std::memory_order_relaxed);
   obs::stamp_now(req.trace, obs::Stage::kServiceStart);
 
   // Fault injection (qat/fault.h): the service point is where firmware
@@ -204,7 +203,6 @@ void QatEndpoint::serve(EngineSlot& slot, CryptoRequest& req,
       // requests - responses == drops; only an engine-level deadline
       // recovers the submitter.
       from->inflight_.fetch_sub(1, std::memory_order_release);
-      busy_.fetch_sub(1, std::memory_order_relaxed);
       return;
     case FaultKind::kNone:
     case FaultKind::kStall: {
@@ -239,7 +237,6 @@ void QatEndpoint::serve(EngineSlot& slot, CryptoRequest& req,
     while (!from->response_ring_.try_push(std::move(entry)))
       std::this_thread::yield();
   }
-  busy_.fetch_sub(1, std::memory_order_relaxed);
 }
 
 void QatEndpoint::engine_main(int engine_id) {

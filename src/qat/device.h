@@ -160,9 +160,6 @@ class QatEndpoint {
 
   FwCounters fw_counters() const;
   int id() const { return id_; }
-  int num_engines() const { return static_cast<int>(engines_.size()); }
-  // Engines currently executing a request (for utilization probes).
-  int busy_engines() const { return busy_.load(std::memory_order_relaxed); }
   // Submitted-but-not-retrieved requests across every instance — the
   // endpoint's queue depth, read by the topology balancer.
   size_t inflight() const;
@@ -204,7 +201,6 @@ class QatEndpoint {
 
   std::vector<std::unique_ptr<EngineSlot>> engine_slots_;
   std::vector<std::thread> engines_;
-  std::atomic<int> busy_{0};
 };
 
 // The whole accelerator card (e.g. one DH8970 = three endpoints).

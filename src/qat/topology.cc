@@ -5,26 +5,8 @@
 #include <sstream>
 
 #include "common/log.h"
-#include "obs/metrics.h"
 
 namespace qtls::qat {
-
-namespace {
-struct TopologyObsCounters {
-  obs::Counter hot_remove, re_add, spillover;
-  TopologyObsCounters() {
-    auto& reg = obs::MetricsRegistry::global();
-    hot_remove = reg.counter("qat.topology.hot_remove");
-    re_add = reg.counter("qat.topology.re_add");
-    spillover = reg.counter("qat.topology.spillover");
-  }
-};
-
-TopologyObsCounters& obs_counters() {
-  static TopologyObsCounters counters;
-  return counters;
-}
-}  // namespace
 
 DeviceTopology::DeviceTopology(TopologyConfig config) : config_(config) {
   const int n = std::max(1, config_.num_devices);
@@ -87,7 +69,7 @@ int DeviceTopology::pick_device(int preferred) const {
   if (shallowest < 0) return -1;  // every device offline
   if (!online(preferred)) return shallowest;
   if (queue_depth(preferred) > min_depth + config_.spill_threshold) {
-    obs_counters().spillover.inc();
+    spillovers_.fetch_add(1, std::memory_order_relaxed);
     return shallowest;
   }
   return preferred;
@@ -131,7 +113,6 @@ bool DeviceTopology::hot_remove(int i) {
   slot.plan->trigger_reset();
   generation_.fetch_add(1, std::memory_order_acq_rel);
   hot_removes_.fetch_add(1, std::memory_order_relaxed);
-  obs_counters().hot_remove.inc();
   QTLS_WARN << "qat topology: device " << i << " hot-removed";
   return true;
 }
@@ -145,7 +126,6 @@ bool DeviceTopology::re_add(int i) {
   slot.plan->clear_reset();
   generation_.fetch_add(1, std::memory_order_acq_rel);
   re_adds_.fetch_add(1, std::memory_order_relaxed);
-  obs_counters().re_add.inc();
   QTLS_INFO << "qat topology: device " << i << " re-added";
   return true;
 }
@@ -176,7 +156,8 @@ std::string DeviceTopology::stats_json() const {
      << ",\"online\":" << online_devices()
      << ",\"generation\":" << generation()
      << ",\"hot_removes\":" << hot_removes()
-     << ",\"re_adds\":" << re_adds() << ",\"device\":[";
+     << ",\"re_adds\":" << re_adds()
+     << ",\"spillovers\":" << spillovers() << ",\"device\":[";
   const auto all = stats();
   for (size_t i = 0; i < all.size(); ++i) {
     const TopologyDeviceStats& s = all[i];

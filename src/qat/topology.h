@@ -138,6 +138,10 @@ class DeviceTopology {
     return hot_removes_.load(std::memory_order_relaxed);
   }
   uint64_t re_adds() const { return re_adds_.load(std::memory_order_relaxed); }
+  // pick_device() decisions that left the affine device for a shallower one.
+  uint64_t spillovers() const {
+    return spillovers_.load(std::memory_order_relaxed);
+  }
 
   std::vector<TopologyDeviceStats> stats() const;
   // The GET /stats "topology" object.
@@ -157,6 +161,7 @@ class DeviceTopology {
   std::atomic<uint64_t> generation_{0};
   std::atomic<uint64_t> hot_removes_{0};
   std::atomic<uint64_t> re_adds_{0};
+  mutable std::atomic<uint64_t> spillovers_{0};
 };
 
 }  // namespace qtls::qat

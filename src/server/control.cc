@@ -7,39 +7,11 @@
 
 #include "common/log.h"
 #include "crypto/keystore.h"
-#include "obs/metrics.h"
 #include "server/worker_pool.h"
 
 namespace qtls::server {
 
 namespace {
-
-// Global-registry mirrors of the control-plane episode counters, so /stats
-// and the periodic dumps surface reload and recovery activity pool-wide.
-struct ControlObsCounters {
-  obs::Counter reloads, reload_failures, plane_changes_ignored, wedge_events,
-      busy_holds, worker_restarts, workers_abandoned;
-  obs::Gauge reload_generation, time_to_detect_ms, time_to_recover_ms;
-
-  ControlObsCounters() {
-    auto& reg = obs::MetricsRegistry::global();
-    reloads = reg.counter("control.reloads");
-    reload_failures = reg.counter("control.reload_failures");
-    plane_changes_ignored = reg.counter("control.plane_changes_ignored");
-    wedge_events = reg.counter("control.wedge_events");
-    busy_holds = reg.counter("control.busy_holds");
-    worker_restarts = reg.counter("control.worker_restarts");
-    workers_abandoned = reg.counter("control.workers_abandoned");
-    reload_generation = reg.gauge("control.reload_generation");
-    time_to_detect_ms = reg.gauge("control.time_to_detect_ms");
-    time_to_recover_ms = reg.gauge("control.time_to_recover_ms");
-  }
-};
-
-ControlObsCounters& control_obs() {
-  static ControlObsCounters counters;
-  return counters;
-}
 
 uint64_t steady_now_ms() {
   using namespace std::chrono;
@@ -106,7 +78,6 @@ uint64_t ControlPlane::clock_ms() const {
 Status ControlPlane::publish(const std::string& conf_text) {
   auto fail = [this](Status st) {
     reload_failures_.fetch_add(1, std::memory_order_relaxed);
-    control_obs().reload_failures.inc();
     QTLS_WARN << "reload rejected, old generation keeps serving: "
               << st.message();
     return st;
@@ -133,7 +104,6 @@ Status ControlPlane::publish(const std::string& conf_text) {
                  "ticket-key ring and session cache are preserved across "
                  "reloads (restart to reshape the plane)";
     plane_changes_ignored_.fetch_add(1, std::memory_order_relaxed);
-    control_obs().plane_changes_ignored.inc();
     next->settings.session = current_->settings.session;
   }
   next->generation = generation_.load(std::memory_order_relaxed) + 1;
@@ -142,9 +112,6 @@ Status ControlPlane::publish(const std::string& conf_text) {
   current_ = next;
   generation_.store(next->generation, std::memory_order_release);
   reloads_.fetch_add(1, std::memory_order_relaxed);
-  control_obs().reloads.inc();
-  control_obs().reload_generation.set(
-      static_cast<int64_t>(next->generation));
   return Status::ok();
 }
 
@@ -266,7 +233,6 @@ ControlPlane::SupervisionReport ControlPlane::check_now(uint64_t now_ms) {
         w.progress = hb.progress;
         w.missed = 0;
         busy_holds_.fetch_add(1, std::memory_order_relaxed);
-        control_obs().busy_holds.inc();
         ++rep.busy;
         continue;
       }
@@ -277,11 +243,9 @@ ControlPlane::SupervisionReport ControlPlane::check_now(uint64_t now_ms) {
         w.wedged = true;
         ++rep.wedged;
         wedge_events_.fetch_add(1, std::memory_order_relaxed);
-        control_obs().wedge_events.inc();
         const uint64_t detect_ms =
             now_ms >= w.first_frozen_ms ? now_ms - w.first_frozen_ms : 0;
         last_time_to_detect_ms_.store(detect_ms, std::memory_order_relaxed);
-        control_obs().time_to_detect_ms.set(static_cast<int64_t>(detect_ms));
         QTLS_WARN << "control: worker " << i << " wedged ("
                   << w.missed << " frozen windows, phase "
                   << static_cast<int>(hb.phase) << ")";
@@ -313,14 +277,11 @@ bool ControlPlane::recover(int worker_index) {
   }
   if (!out.restarted) return false;
   worker_restarts_.fetch_add(1, std::memory_order_relaxed);
-  control_obs().worker_restarts.inc();
   if (!out.joined) {
     workers_abandoned_.fetch_add(1, std::memory_order_relaxed);
-    control_obs().workers_abandoned.inc();
   }
   const uint64_t recover_ms = steady_now_ms() - t0;
   last_time_to_recover_ms_.store(recover_ms, std::memory_order_relaxed);
-  control_obs().time_to_recover_ms.set(static_cast<int64_t>(recover_ms));
   QTLS_WARN << "control: worker " << worker_index << " replaced ("
             << (out.joined ? "joined" : "abandoned to quarantine")
             << ", reaped " << out.reaped << " connections, "

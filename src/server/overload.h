@@ -31,8 +31,8 @@ struct OverloadConfig {
   size_t park_backlog = 64;
 };
 
-// Per-worker overload accounting, mirrored into the global metrics registry
-// and surfaced in the GET /stats "overload" object.
+// Per-worker overload accounting, served in the GET /stats "overload"
+// object.
 struct OverloadStats {
   uint64_t shed = 0;                 // closed pre-handshake at the cap
   uint64_t parked = 0;               // queued in the accept backlog

@@ -15,50 +15,6 @@
 
 namespace qtls::server {
 
-namespace {
-// Global-registry mirrors of the per-worker OverloadStats, so /stats and
-// the periodic dumps see pool-wide overload pressure (same idiom as the
-// engine failure counters).
-struct OverloadObsCounters {
-  obs::Counter shed, parked, handshake_timeout, park_timeout, idle_timeout,
-      write_stall_timeout, drain_refused, drain_force_closed;
-
-  OverloadObsCounters() {
-    auto& reg = obs::MetricsRegistry::global();
-    shed = reg.counter("overload.shed");
-    parked = reg.counter("overload.parked");
-    handshake_timeout = reg.counter("overload.handshake_timeout");
-    park_timeout = reg.counter("overload.park_timeout");
-    idle_timeout = reg.counter("overload.idle_timeout");
-    write_stall_timeout = reg.counter("overload.write_stall_timeout");
-    drain_refused = reg.counter("overload.drain_refused");
-    drain_force_closed = reg.counter("overload.drain_force_closed");
-  }
-};
-
-OverloadObsCounters& overload_obs() {
-  static OverloadObsCounters counters;
-  return counters;
-}
-
-// Memory plane (DESIGN.md §14): per-worker footprint gauges mirrored into
-// the global registry so /stats and the million_conn bench read one place.
-struct MemoryObsGauges {
-  obs::Gauge bytes_per_conn, slab_bytes_reserved;
-
-  MemoryObsGauges() {
-    auto& reg = obs::MetricsRegistry::global();
-    bytes_per_conn = reg.gauge("memory.bytes_per_conn");
-    slab_bytes_reserved = reg.gauge("memory.slab_bytes_reserved");
-  }
-};
-
-MemoryObsGauges& memory_obs() {
-  static MemoryObsGauges gauges;
-  return gauges;
-}
-}  // namespace
-
 // Slab-allocated (server.conn pool): transport and TLS state are embedded
 // by value — one slot per connection instead of a constellation of mallocs.
 // Declaration order matters: `tls` holds a pointer into `transport`, so it
@@ -214,7 +170,6 @@ void Worker::admit_or_reject(int fd) {
     // Drain refuses everything: the listener is disarmed, but a connect may
     // have raced the disarm (or arrived via adopt).
     ++overload_stats_.drain_refused;
-    overload_obs().drain_refused.inc();
     ::close(fd);
     return;
   }
@@ -231,7 +186,6 @@ void Worker::admit_or_reject(int fd) {
   // Shed pre-handshake: a plain close is a clean FIN — cheaper for both
   // sides than a TLS alert the handshake never earned.
   ++overload_stats_.shed;
-  overload_obs().shed.inc();
   ::close(fd);
 }
 
@@ -254,7 +208,6 @@ void Worker::park_accept(int fd) {
     node->deadline_timer = loop_.timers().arm(
         now_ms(), delay, [this, node] { on_park_deadline(node); });
   ++overload_stats_.parked;
-  overload_obs().parked.inc();
 }
 
 void Worker::unlink_parked(ParkedAccept* node) {
@@ -282,7 +235,6 @@ void Worker::on_park_deadline(ParkedAccept* node) {
   // use-after-free the ParkDeadline regression test reproduces under ASan).
   unlink_parked(node);
   ++overload_stats_.park_timeouts;
-  overload_obs().park_timeout.inc();
   ::close(node->fd);
   park_pool_->destroy(node);
 }
@@ -433,14 +385,12 @@ void Worker::on_deadline(Conn* conn) {
   switch (kind) {
     case DeadlineKind::kHandshake:
       ++overload_stats_.handshake_timeouts;
-      overload_obs().handshake_timeout.inc();
       if (can_alert)
         (void)conn->tls->send_alert(tls::AlertLevel::kFatal,
                                     tls::AlertDescription::kUserCanceled);
       break;
     case DeadlineKind::kIdle:
       ++overload_stats_.idle_timeouts;
-      overload_obs().idle_timeout.inc();
       if (can_alert)
         (void)conn->tls->send_alert(tls::AlertLevel::kWarning,
                                     tls::AlertDescription::kCloseNotify);
@@ -449,7 +399,6 @@ void Worker::on_deadline(Conn* conn) {
       // The peer is not draining our bytes — an alert would only join the
       // queue it refuses to read. Close without ceremony.
       ++overload_stats_.write_stall_timeouts;
-      overload_obs().write_stall_timeout.inc();
       break;
     case DeadlineKind::kNone:
       return;  // cancelled in the same advance; nothing to do
@@ -829,9 +778,6 @@ std::string Worker::stats_json() const {
     const size_t bpc = bytes_per_conn();
     const common::SlabStats slab_totals =
         common::SlabRegistry::global().totals();
-    memory_obs().bytes_per_conn.set(static_cast<int64_t>(bpc));
-    memory_obs().slab_bytes_reserved.set(
-        static_cast<int64_t>(slab_totals.bytes_reserved));
     os << ",\"memory\":{"
        << "\"bytes_per_conn\":" << bpc
        << ",\"released_scratch\":" << released_scratch_connections()
@@ -843,6 +789,9 @@ std::string Worker::stats_json() const {
     const engine::QatEngineStats& e = qat_->stats();
     os << ",\"engine\":{"
        << "\"submitted\":" << e.submitted << ",\"completed\":" << e.completed
+       << ",\"submit_retries\":" << e.submit_retries
+       << ",\"seal_batches\":" << e.seal_batches
+       << ",\"seal_batch_ops\":" << e.seal_batch_ops
        << ",\"device_errors\":" << e.device_errors
        << ",\"op_retries\":" << e.op_retries
        << ",\"deadline_expiries\":" << e.deadline_expiries
@@ -880,12 +829,26 @@ std::string Worker::stats_json() const {
        << ",\"timeliness_triggers\":" << p->timeliness_triggers
        << ",\"failover_triggers\":" << p->failover_triggers << "}";
   }
-  // Control plane (DESIGN.md §15): what generation this worker runs and the
+  // Control plane (DESIGN.md §15): what generation this worker runs, the
+  // attached plane's published generation and episode counters, and the
   // heartbeat the supervisor scores.
   os << ",\"control\":{"
      << "\"applied_generation\":"
-     << applied_generation_.load(std::memory_order_relaxed)
-     << ",\"heartbeat\":{\"iterations\":"
+     << applied_generation_.load(std::memory_order_relaxed);
+  if (const ControlPlane* control = config_.control) {
+    const ControlPlane::Stats c = control->stats();
+    os << ",\"generation\":" << control->generation()
+       << ",\"reloads\":" << c.reloads
+       << ",\"reload_failures\":" << c.reload_failures
+       << ",\"plane_changes_ignored\":" << c.plane_changes_ignored
+       << ",\"wedge_events\":" << c.wedge_events
+       << ",\"busy_holds\":" << c.busy_holds
+       << ",\"worker_restarts\":" << c.worker_restarts
+       << ",\"workers_abandoned\":" << c.workers_abandoned
+       << ",\"last_time_to_detect_ms\":" << c.last_time_to_detect_ms
+       << ",\"last_time_to_recover_ms\":" << c.last_time_to_recover_ms;
+  }
+  os << ",\"heartbeat\":{\"iterations\":"
      << heartbeat_.iterations.load(std::memory_order_relaxed)
      << ",\"progress\":" << heartbeat_.progress.load(std::memory_order_relaxed)
      << ",\"phase\":"
@@ -933,7 +896,6 @@ void Worker::begin_drain() {
     ParkedAccept* node = parked_head_;
     unlink_parked(node);
     ++overload_stats_.drain_refused;
-    overload_obs().drain_refused.inc();
     ::close(node->fd);
     park_pool_->destroy(node);
   }
@@ -961,7 +923,6 @@ void Worker::begin_drain() {
       Conn* conn = find_by_id(id);
       if (!conn) continue;
       ++overload_stats_.drain_force_closed;
-      overload_obs().drain_force_closed.inc();
       close_connection(conn, /*error=*/false);
     }
     finish_drain_check();

@@ -129,9 +129,8 @@ class Worker {
 
   // Memory accounting (DESIGN.md §14): average heap bytes pinned per alive
   // connection — connection object + TLS buffers + handshake scratch when
-  // still held. Mirrored into the "memory.bytes_per_conn" gauge by
-  // stats_json(); the footprint regression test and bench/million_conn gate
-  // on it.
+  // still held. Served as "bytes_per_conn" in the GET /stats "memory"
+  // object; the footprint regression test gates on it.
   size_t bytes_per_conn() const;
   // Alive connections whose handshake scratch has been wiped and released.
   size_t released_scratch_connections() const;
@@ -183,10 +182,12 @@ class Worker {
   }
   const AsyncEventQueue& async_queue() const { return async_queue_; }
 
-  // The GET /stats payload: worker counters, engine failure/fallback
-  // counters and breaker states, poller stats, and the global metrics
-  // registry snapshot (per-stage latency histograms). Runs on the worker
-  // thread (it serves the request), so worker state needs no locking.
+  // The GET /stats payload: each count under the object that owns it
+  // (worker, overload, memory, engine with its breakers, remote, topology,
+  // poller, control, session, record), then the global metrics registry
+  // snapshot (per-stage latency histograms and the copy meter). Runs on
+  // the worker thread (it serves the request), so worker state needs no
+  // locking.
   std::string stats_json() const;
 
  private:

@@ -192,20 +192,6 @@ Status WorkerPool::start(uint16_t port) {
     std::lock_guard<std::mutex> lock(cells_mu_);
     for (auto& cell : cells_) spawn_cell_thread(cell.get());
   }
-  if (options_.stats_dump_interval_ms > 0) {
-    dump_thread_ = std::thread([this] {
-      const auto interval =
-          std::chrono::milliseconds(options_.stats_dump_interval_ms);
-      auto next = std::chrono::steady_clock::now() + interval;
-      // Sleep in short slices so stop() is never held up by a long interval.
-      while (!stopping_.load()) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-        if (std::chrono::steady_clock::now() < next) continue;
-        next += interval;
-        QTLS_INFO << "stats dump\n" << stats_text();
-      }
-    });
-  }
   started_ = true;
   return Status::ok();
 }
@@ -223,7 +209,6 @@ void WorkerPool::stop() {
     if (cell->thread.joinable()) cell->thread.join();
   }
   reap_zombies();
-  if (dump_thread_.joinable()) dump_thread_.join();
   started_ = false;
 }
 
@@ -236,8 +221,7 @@ void WorkerPool::shutdown(uint64_t deadline_ms) {
     if (cell->thread.joinable()) cell->thread.join();
   }
   reap_zombies();
-  stopping_.store(true);  // ends the dump thread; makes stop() a no-op join
-  if (dump_thread_.joinable()) dump_thread_.join();
+  stopping_.store(true);  // recovery and readiness see the pool as stopping
   started_ = false;
 }
 

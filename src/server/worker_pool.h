@@ -32,9 +32,6 @@ struct WorkerPoolOptions {
   // ladder rather than failing pool start.
   RemoteOffloadSettings remote;
   size_t response_body_size = 1024;
-  // Periodic observability dump: every interval the pool logs stats_text()
-  // (pool totals + the global metrics registry). 0 disables the dump thread.
-  uint64_t stats_dump_interval_ms = 0;
 };
 
 struct WorkerPoolStats {
@@ -107,9 +104,8 @@ class WorkerPool {
   tls::SessionPlane& session_plane() { return *session_plane_; }
   const tls::SessionPlane& session_plane() const { return *session_plane_; }
 
-  // Human-readable dump: pool totals followed by the global metrics
-  // registry (per-stage histograms, fault counters). What the periodic
-  // dump thread logs; also usable on demand.
+  // Human-readable dump: pool totals, the topology, then the global
+  // metrics registry (per-stage histograms and the copy meter).
   std::string stats_text() const;
 
   // --- control-plane views (DESIGN.md §15) ------------------------------
@@ -191,7 +187,6 @@ class WorkerPool {
   std::atomic<uint64_t> total_restarts_{0};
   bool started_ = false;
   uint16_t port_ = 0;
-  std::thread dump_thread_;
 };
 
 }  // namespace qtls::server

@@ -4,29 +4,6 @@
 
 namespace qtls::sim {
 
-namespace {
-// Virtual-plane fault counters, mirroring FaultPlan's own tallies so
-// tests/trace_sim_test.cc can prove conservation: every injected decision
-// shows up exactly once in the global registry.
-struct SimObsCounters {
-  obs::Counter submitted, error, reset, drop, stall;
-
-  SimObsCounters() {
-    auto& reg = obs::MetricsRegistry::global();
-    submitted = reg.counter("sim.qat.submitted");
-    error = reg.counter("sim.qat.error");
-    reset = reg.counter("sim.qat.reset");
-    drop = reg.counter("sim.qat.drop");
-    stall = reg.counter("sim.qat.stall");
-  }
-};
-
-SimObsCounters& obs_counters() {
-  static SimObsCounters counters;
-  return counters;
-}
-}  // namespace
-
 bool SimQatInstance::submit(SOp op, std::function<void()> on_retrieved) {
   return submit(op, endpoint_->costs_->qat_service(op),
                 std::move(on_retrieved));
@@ -70,24 +47,18 @@ bool SimQatInstance::submit_with_status(
     case qat::FaultKind::kError:
       status = qat::CryptoStatus::kDeviceError;
       service = 0;  // failed fast: the computation never ran
-      obs_counters().error.inc();
       break;
     case qat::FaultKind::kReset:
       status = qat::CryptoStatus::kDeviceReset;
       service = 0;
-      obs_counters().reset.inc();
       break;
     case qat::FaultKind::kStall:
       service += fault.stall_ns;  // stuck engine, then serves normally
-      obs_counters().stall.inc();
       break;
-    case qat::FaultKind::kDrop:
-      obs_counters().drop.inc();
-      break;
+    case qat::FaultKind::kDrop:  // served, but the response is lost below
     case qat::FaultKind::kNone:
       break;
   }
-  obs_counters().submitted.inc();
 
   ++ring_occupancy_;
   ++inflight_total_;
@@ -178,15 +149,8 @@ SimTime SimQatEndpoint::dispatch(SimTime service, SimTime* start_out) {
   auto it = std::min_element(engine_free_.begin(), engine_free_.end());
   const SimTime start = std::max(sim_->now(), *it);
   *it = start + service;
-  engine_busy_accum_ += service;
   if (start_out) *start_out = start;
   return *it;
-}
-
-double SimQatEndpoint::utilization(SimTime now) const {
-  if (now == 0) return 0.0;
-  return static_cast<double>(engine_busy_accum_) /
-         (static_cast<double>(now) * static_cast<double>(engine_free_.size()));
 }
 
 }  // namespace qtls::sim

@@ -95,8 +95,6 @@ class SimQatEndpoint {
   }
 
   uint64_t completed_ops() const { return completed_; }
-  // Engine-time utilization over [0, now].
-  double utilization(SimTime now) const;
 
   // Fault-injection plan consulted when ops are dispatched (same contract
   // as DeviceConfig::fault_plan on the real-time backend). Non-owning.
@@ -115,7 +113,6 @@ class SimQatEndpoint {
   std::vector<SimTime> engine_free_;
   std::vector<std::unique_ptr<SimQatInstance>> instances_;
   uint64_t completed_ = 0;
-  SimTime engine_busy_accum_ = 0;
   uint64_t next_request_id_ = 1;
   qat::FaultPlan* fault_plan_ = nullptr;
 };

@@ -194,9 +194,6 @@ class SimSystem {
       util_sum += std::min(1.0, static_cast<double>(w.cpu->total_busy()) /
                                     static_cast<double>(end));
     out.cpu_utilization = util_sum / static_cast<double>(workers_.size());
-    out.qat_utilization = device_.completed_ops() > 0
-                              ? endpoint_utilization(end)
-                              : 0.0;
     return out;
   }
 
@@ -238,12 +235,6 @@ class SimSystem {
     WorkerState& ws = workers_[static_cast<size_t>(w)];
     ws.cpu->exec(static_cast<SimTime>(static_cast<double>(cost) * ws.tax),
                  std::move(fn));
-  }
-
-  double endpoint_utilization(SimTime) const {
-    // Aggregate engine-time over capacity, derived from completed op count
-    // is imprecise; report via the first endpoint's accumulator instead.
-    return 0.0;  // refined by utilization probes in benches when needed
   }
 
   // ------------------------------------------------------------ clients --

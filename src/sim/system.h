@@ -72,7 +72,6 @@ struct RunResult {
   uint64_t bytes_copied = 0;
   uint64_t bytes_sent = 0;
   double bytes_copied_per_byte = 0;
-  double qat_utilization = 0;   // engine busy fraction
   double cpu_utilization = 0;   // mean worker-core busy fraction
   uint64_t heuristic_polls = 0;
   uint64_t timeliness_triggers = 0;

@@ -87,8 +87,9 @@ class RecordLayer {
   uint64_t records_received() const { return records_received_; }
 
   // --- TX copy meter (DESIGN.md §11) --------------------------------------
-  // Payload bytes memcpy'd through a staging buffer on this layer's TX path
-  // (mirrored into the global obs counter "record.bytes_copied").
+  // Payload bytes memcpy'd through a staging buffer on this layer's TX path.
+  // The process-wide copy meter "record.bytes_copied" adds them to the
+  // engines' staging copies; it has no other owner.
   uint64_t bytes_copied() const { return bytes_copied_; }
   // Wire bytes handed to the transport by flush().
   uint64_t bytes_sent() const { return bytes_sent_; }

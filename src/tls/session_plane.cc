@@ -30,15 +30,7 @@ size_t round_up_pow2(size_t n) {
 // ------------------------------------------------------- sharded cache ----
 
 ShardedSessionCache::ShardedSessionCache(size_t shards, size_t capacity,
-                                         uint64_t lifetime_ms)
-    : hit_metric_(obs::MetricsRegistry::global().counter("tls.session.hit")),
-      miss_metric_(obs::MetricsRegistry::global().counter("tls.session.miss")),
-      insert_metric_(
-          obs::MetricsRegistry::global().counter("tls.session.insert")),
-      evict_metric_(
-          obs::MetricsRegistry::global().counter("tls.session.evict")),
-      expire_metric_(
-          obs::MetricsRegistry::global().counter("tls.session.expire")) {
+                                         uint64_t lifetime_ms) {
   const size_t n = round_up_pow2(shards);
   // Split the total capacity across shards (ceiling, so shards*per >= total
   // and a capacity below the shard count still holds at least one entry per
@@ -54,93 +46,66 @@ ShardedSessionCache::Shard& ShardedSessionCache::shard_of(
   return *shards_[fnv1a(session_id) & (shards_.size() - 1)];
 }
 
-struct ShardedSessionCache::ShardDelta {
-  uint64_t inserts;
-  uint64_t evictions;
-  uint64_t expirations;
-  uint64_t removes;
-  explicit ShardDelta(const SessionCache& c)
-      : inserts(c.inserts()),
-        evictions(c.evictions()),
-        expirations(c.expirations()),
-        removes(c.removes()) {}
-};
-
-void ShardedSessionCache::fold_delta(const ShardDelta& before,
-                                     const SessionCache& after) {
-  // Every path that changes shard occupancy folds ALL the accounting
-  // counters, not just the one it expects to move: a put can expire
-  // (expired-first probe) OR evict, a get can expire. Diffing only
-  // evictions here was the under-count the conservation test caught.
-  if (uint64_t d = after.inserts() - before.inserts) {
-    inserts_.fetch_add(d, std::memory_order_relaxed);
-    insert_metric_.add(static_cast<int64_t>(d));
-  }
-  if (uint64_t d = after.evictions() - before.evictions) {
-    evictions_.fetch_add(d, std::memory_order_relaxed);
-    evict_metric_.add(static_cast<int64_t>(d));
-  }
-  if (uint64_t d = after.expirations() - before.expirations) {
-    expirations_.fetch_add(d, std::memory_order_relaxed);
-    expire_metric_.add(static_cast<int64_t>(d));
-  }
-  if (uint64_t d = after.removes() - before.removes)
-    removes_.fetch_add(d, std::memory_order_relaxed);
-}
-
 void ShardedSessionCache::put(const Bytes& session_id, SessionState state,
                               uint64_t now_ms) {
   Shard& shard = shard_of(session_id);
   std::lock_guard<std::mutex> lock(shard.mu);
-  const ShardDelta before(shard.cache);
   shard.cache.put(session_id, std::move(state), now_ms);
-  fold_delta(before, shard.cache);
 }
 
 std::optional<SessionState> ShardedSessionCache::get(const Bytes& session_id,
                                                      uint64_t now_ms) {
   Shard& shard = shard_of(session_id);
-  std::optional<SessionState> out;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const ShardDelta before(shard.cache);
-    out = shard.cache.get(session_id, now_ms);
-    fold_delta(before, shard.cache);
-  }
-  if (out.has_value()) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    hit_metric_.inc();
-  } else {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    miss_metric_.inc();
-  }
-  return out;
+  std::lock_guard<std::mutex> lock(shard.mu);
+  return shard.cache.get(session_id, now_ms);
 }
 
 void ShardedSessionCache::remove(const Bytes& session_id) {
   Shard& shard = shard_of(session_id);
   std::lock_guard<std::mutex> lock(shard.mu);
-  const ShardDelta before(shard.cache);
   shard.cache.remove(session_id);
-  fold_delta(before, shard.cache);
+}
+
+template <typename Read>
+uint64_t ShardedSessionCache::sum(Read read) const {
+  uint64_t total = 0;
+  for (const auto& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard->mu);
+    total += read(shard->cache);
+  }
+  return total;
 }
 
 size_t ShardedSessionCache::size() const {
-  size_t total = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    total += shard->cache.size();
-  }
-  return total;
+  return sum([](const SessionCache& c) { return c.size(); });
 }
 
 size_t ShardedSessionCache::bytes() const {
-  size_t total = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    total += shard->cache.bytes();
-  }
-  return total;
+  return sum([](const SessionCache& c) { return c.bytes(); });
+}
+
+uint64_t ShardedSessionCache::hits() const {
+  return sum([](const SessionCache& c) { return c.hits(); });
+}
+
+uint64_t ShardedSessionCache::misses() const {
+  return sum([](const SessionCache& c) { return c.misses(); });
+}
+
+uint64_t ShardedSessionCache::inserts() const {
+  return sum([](const SessionCache& c) { return c.inserts(); });
+}
+
+uint64_t ShardedSessionCache::evictions() const {
+  return sum([](const SessionCache& c) { return c.evictions(); });
+}
+
+uint64_t ShardedSessionCache::expirations() const {
+  return sum([](const SessionCache& c) { return c.expirations(); });
+}
+
+uint64_t ShardedSessionCache::removes() const {
+  return sum([](const SessionCache& c) { return c.removes(); });
 }
 
 // ------------------------------------------------------------ key ring ----
@@ -150,14 +115,7 @@ TicketKeyRing::TicketKeyRing(BytesView seed, uint64_t rotate_interval_ms,
     : seed_(seed.begin(), seed.end()),
       rotate_interval_ms_(rotate_interval_ms),
       accept_epochs_(accept_epochs),
-      lifetime_ms_(lifetime_ms),
-      seal_metric_(obs::MetricsRegistry::global().counter("tls.ticket.seal")),
-      unseal_ok_metric_(
-          obs::MetricsRegistry::global().counter("tls.ticket.unseal_ok")),
-      unseal_old_epoch_metric_(
-          obs::MetricsRegistry::global().counter("tls.ticket.old_epoch")),
-      unseal_reject_metric_(
-          obs::MetricsRegistry::global().counter("tls.ticket.reject")) {}
+      lifetime_ms_(lifetime_ms) {}
 
 std::shared_ptr<const TicketKeyRing::EpochKey> TicketKeyRing::key_for(
     uint64_t epoch) const {
@@ -194,7 +152,6 @@ Bytes TicketKeyRing::seal(const SessionState& state, uint64_t now_ms,
   Bytes ticket = key->name;
   append(ticket, key->keeper.seal(state, now_ms, iv_rng));
   seals_.fetch_add(1, std::memory_order_relaxed);
-  seal_metric_.inc();
   return ticket;
 }
 
@@ -202,7 +159,6 @@ Result<TicketKeyRing::Unsealed> TicketKeyRing::unseal(BytesView ticket,
                                                       uint64_t now_ms) const {
   if (ticket.size() < kKeyNameLen) {
     unseal_rejects_.fetch_add(1, std::memory_order_relaxed);
-    unseal_reject_metric_.inc();
     return err(Code::kCryptoError, "ticket shorter than key name");
   }
   const BytesView name = ticket.subspan(0, kKeyNameLen);
@@ -215,7 +171,6 @@ Result<TicketKeyRing::Unsealed> TicketKeyRing::unseal(BytesView ticket,
     auto state = key->keeper.unseal(ticket.subspan(kKeyNameLen), now_ms);
     if (!state.is_ok()) {
       unseal_rejects_.fetch_add(1, std::memory_order_relaxed);
-      unseal_reject_metric_.inc();
       return state.status();
     }
     Unsealed out;
@@ -223,16 +178,13 @@ Result<TicketKeyRing::Unsealed> TicketKeyRing::unseal(BytesView ticket,
     out.epoch = epoch;
     out.current = epoch == current;
     unseal_ok_.fetch_add(1, std::memory_order_relaxed);
-    unseal_ok_metric_.inc();
     if (!out.current) {
       unseal_old_epoch_.fetch_add(1, std::memory_order_relaxed);
-      unseal_old_epoch_metric_.inc();
     }
     return out;
   }
   // Unknown name: sealed under a retired epoch (or another server's ring).
   unseal_rejects_.fetch_add(1, std::memory_order_relaxed);
-  unseal_reject_metric_.inc();
   return err(Code::kFailedPrecondition, "ticket key epoch not accepted");
 }
 

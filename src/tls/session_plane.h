@@ -3,9 +3,8 @@
 //
 //  * ShardedSessionCache — N shards (power of two, default 16) keyed by the
 //    low bits of a session-ID hash; each shard is one mutex around the
-//    single-threaded SessionCache. Hit/miss/evict totals are relaxed
-//    atomics, mirrored into the src/obs metrics registry so /stats and the
-//    BENCH_JSON harvest see them.
+//    single-threaded SessionCache. The shards keep the only counts: a total
+//    is the sum of the shards' own counters, read under their locks.
 //  * TicketKeyRing — epoch-numbered ticket keys replacing the single-key
 //    TicketKeeper. Every sealed ticket is prefixed with the 16-byte key
 //    name of its sealing epoch (the RFC 5077 key_name field); unseal
@@ -25,7 +24,6 @@
 #include <mutex>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "tls/session.h"
 
 namespace qtls::tls {
@@ -56,20 +54,16 @@ class ShardedSessionCache {
   // the first put.
   size_t bytes() const;
 
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
-  // Same taxonomy as SessionCache; with all mutators quiesced,
+  // Sums of the shards' SessionCache counters, same taxonomy. With all
+  // mutators quiesced,
   //   inserts == size + evictions + expirations + removes
-  // holds exactly (each shard op diffs the shard's counters under its lock
-  // and folds them into these totals).
-  uint64_t inserts() const { return inserts_.load(std::memory_order_relaxed); }
-  uint64_t evictions() const {
-    return evictions_.load(std::memory_order_relaxed);
-  }
-  uint64_t expirations() const {
-    return expirations_.load(std::memory_order_relaxed);
-  }
-  uint64_t removes() const { return removes_.load(std::memory_order_relaxed); }
+  // holds exactly.
+  uint64_t hits() const;
+  uint64_t misses() const;
+  uint64_t inserts() const;
+  uint64_t evictions() const;
+  uint64_t expirations() const;
+  uint64_t removes() const;
 
  private:
   struct Shard {
@@ -80,24 +74,11 @@ class ShardedSessionCache {
   };
 
   Shard& shard_of(const Bytes& session_id);
-
-  // Folds the change in a shard's insert/evict/expire/remove counters
-  // (observed across one locked operation) into the atomic totals.
-  struct ShardDelta;
-  void fold_delta(const ShardDelta& before, const SessionCache& after);
+  // Sum of read(shard cache) over the shards, each read under its lock.
+  template <typename Read>
+  uint64_t sum(Read read) const;
 
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> inserts_{0};
-  std::atomic<uint64_t> evictions_{0};
-  std::atomic<uint64_t> expirations_{0};
-  std::atomic<uint64_t> removes_{0};
-  obs::Counter hit_metric_;
-  obs::Counter miss_metric_;
-  obs::Counter insert_metric_;
-  obs::Counter evict_metric_;
-  obs::Counter expire_metric_;
 };
 
 // Rotating ticket-key ring. Sealed ticket layout (RFC 5077 shape):
@@ -171,10 +152,6 @@ class TicketKeyRing {
   mutable std::atomic<uint64_t> unseal_ok_{0};
   mutable std::atomic<uint64_t> unseal_old_epoch_{0};
   mutable std::atomic<uint64_t> unseal_rejects_{0};
-  mutable obs::Counter seal_metric_;
-  mutable obs::Counter unseal_ok_metric_;
-  mutable obs::Counter unseal_old_epoch_metric_;
-  mutable obs::Counter unseal_reject_metric_;
 };
 
 // One resumption plane = one sharded cache + one key ring. A WorkerPool

@@ -11,8 +11,8 @@
 
 #include "common/slab.h"
 #include "crypto/keystore.h"
-#include "obs/metrics.h"
 #include "server/worker.h"
+#include "server_test_util.h"
 #include "tls_test_util.h"
 
 namespace qtls::tls {
@@ -21,13 +21,6 @@ namespace {
 using testutil::pump_handshake;
 using testutil::pump_read;
 using testutil::pump_write;
-
-int64_t obs_gauge(const char* name) {
-  for (const auto& [gname, value] :
-       obs::MetricsRegistry::global().snapshot().gauges)
-    if (gname == name) return value;
-  return -1;
-}
 
 struct Pair {
   net::MemoryPipe pipe;
@@ -192,12 +185,12 @@ TEST(IdleFootprint, WorkerGaugeAndStatsJsonReportMemoryPlane) {
   EXPECT_EQ(rig.worker->released_scratch_connections(), 1u);
   const size_t bpc = rig.worker->bytes_per_conn();
   EXPECT_GT(bpc, 0u);
-  // One idle connection, read through the public gauge surface: the worker's
+  // One idle connection, read through the public accessor: the worker's
   // connection slot (transport + TLS state) and everything it owns on the
   // heap fit in 2 KiB.
   EXPECT_LE(bpc, 2048u);
 
-  // stats_json carries the memory object and refreshes the global gauge.
+  // stats_json carries the memory object, with the same bytes_per_conn.
   const std::string json = rig.worker->stats_json();
   EXPECT_NE(json.find("\"memory\":"), std::string::npos);
   EXPECT_NE(json.find("\"bytes_per_conn\":"), std::string::npos);
@@ -205,7 +198,7 @@ TEST(IdleFootprint, WorkerGaugeAndStatsJsonReportMemoryPlane) {
   EXPECT_NE(json.find("\"slabs\":"), std::string::npos);
   EXPECT_NE(json.find("server.hs_scratch"), std::string::npos);
 #endif
-  EXPECT_EQ(obs_gauge("memory.bytes_per_conn"),
+  EXPECT_EQ(server::testutil::stats_field(json, "memory", "bytes_per_conn"),
             static_cast<int64_t>(rig.worker->bytes_per_conn()));
 }
 

@@ -6,12 +6,15 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "crypto/keystore.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "server/control.h"
 #include "server_test_util.h"
 
 // ---------------------------------------------------------------------------
@@ -35,10 +38,16 @@ void* operator new[](size_t size) {
   throw std::bad_alloc();
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, size_t) noexcept { std::free(p); }
-void operator delete[](void* p, size_t) noexcept { std::free(p); }
+// Out of line: inlined into a `new T` cleanup path, the free() would look
+// to GCC like a mismatch with operator new (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, size_t) noexcept {
+  std::free(p);
+}
 
 namespace qtls {
 namespace {
@@ -331,7 +340,8 @@ TEST(StatsEndpoint, LiveWorkerServesStatsJson) {
   EXPECT_NE(body.find("\"breaker\""), std::string::npos) << body;
   EXPECT_NE(body.find("\"asym\":\"closed\""), std::string::npos) << body;
   EXPECT_NE(body.find("\"metrics\""), std::string::npos) << body;
-  EXPECT_NE(body.find("qat.engine.submitted"), std::string::npos) << body;
+  EXPECT_NE(body.find("\"engine\":{\"submitted\":"), std::string::npos)
+      << body;
   // The handshake offloaded at least one op with tracing on, so the
   // real-plane per-stage histograms exist in the snapshot.
   EXPECT_NE(body.find("qat.stage.total"), std::string::npos) << body;
@@ -339,6 +349,160 @@ TEST(StatsEndpoint, LiveWorkerServesStatsJson) {
 }
 
 #endif  // QTLS_OBS_ENABLED
+
+// -------------------------------------------- one count per event ----
+
+// Every metric name in a GET /stats body's registry snapshot: the quoted
+// keys after "metrics" that contain a dot (histogram fields have none).
+std::vector<std::string> metric_names(const std::string& body) {
+  std::vector<std::string> names;
+  const std::string marker = "\"metrics\":";
+  size_t at = body.find(marker);
+  if (at == std::string::npos) return names;
+  for (at = body.find('"', at + marker.size()); at != std::string::npos;
+       at = body.find('"', at + 1)) {
+    const size_t end = body.find('"', at + 1);
+    if (end == std::string::npos) break;
+    std::string key = body.substr(at + 1, end - at - 1);
+    if (end + 1 < body.size() && body[end + 1] == ':' &&
+        key.find('.') != std::string::npos)
+      names.push_back(std::move(key));
+    at = end;
+  }
+  return names;
+}
+
+bool starts_with(const std::string& s, const char* prefix) {
+  return s.rfind(prefix, 0) == 0;
+}
+
+TEST(StatsEndpoint, EachCountServedOnceUnderItsOwner) {
+  using namespace qtls::server;
+  using testutil::stats_field;
+
+  qat::DeviceConfig dcfg;
+  dcfg.num_endpoints = 1;
+  dcfg.engines_per_endpoint = 4;
+  qat::QatDevice device(dcfg);
+  engine::QatEngineConfig qcfg;
+  qcfg.offload_mode = engine::OffloadMode::kAsync;
+  engine::QatEngineProvider qat(device.allocate_instance(), qcfg);
+
+  tls::TlsContextConfig scfg;
+  scfg.is_server = true;
+  scfg.drbg_seed = 1;
+  scfg.async_mode = true;
+  scfg.cipher_suites = {tls::CipherSuite::kEcdheRsaWithAes128CbcSha};
+  tls::TlsContext server_ctx(scfg, &qat);
+  server_ctx.credentials().rsa_key = &test_rsa2048();
+
+  engine::SoftwareProvider client_provider(99);
+  tls::TlsContextConfig ccfg;
+  ccfg.drbg_seed = 2;
+  ccfg.cipher_suites = scfg.cipher_suites;
+  tls::TlsContext client_ctx(ccfg, &client_provider);
+
+  // The control plane the worker serves from, reloaded from two threads.
+  ControlPlane control;
+  ASSERT_TRUE(control
+                  .load("ssl_engine {\n"
+                        "    use qat_engine;\n"
+                        "    qat_engine { qat_offload_mode async; }\n"
+                        "}\n"
+                        "control { supervise off; }\n")
+                  .is_ok());
+  std::vector<std::thread> reloaders;
+  for (int t = 0; t < 2; ++t)
+    reloaders.emplace_back([&control] {
+      for (int i = 0; i < 3; ++i) EXPECT_TRUE(control.reload_now().is_ok());
+    });
+  for (std::thread& t : reloaders) t.join();
+  ASSERT_EQ(control.generation(), 7u);
+
+  WorkerConfig wcfg;
+  wcfg.control = &control;
+  Worker worker(&server_ctx, &qat, wcfg);
+
+  // Two served and closed connections, then one GET /stats on a quiet
+  // worker: no offload op is in flight while the body is built.
+  client::ClientOptions fopts;
+  fopts.max_requests = 1;
+  client::Pool files;
+  for (int i = 0; i < 2; ++i)
+    files.add(std::make_unique<client::HttpsClient>(
+        &client_ctx, testutil::socketpair_connector(&worker), fopts,
+        100 + static_cast<uint64_t>(i)));
+  ASSERT_TRUE(testutil::run_to_completion(&worker, &files));
+  for (int i = 0; i < 1000 && worker.alive_connections() != 0; ++i)
+    worker.run_once(1);
+  ASSERT_EQ(worker.alive_connections(), 0u);
+
+  client::Pool pool;
+  client::ClientOptions copts;
+  copts.path = "/stats";
+  copts.max_requests = 1;
+  pool.add(std::make_unique<client::HttpsClient>(
+      &client_ctx, testutil::socketpair_connector(&worker), copts));
+  ASSERT_TRUE(testutil::run_to_completion(&worker, &pool));
+  ASSERT_EQ(pool.aggregate().errors, 0u);
+  const client::HttpsClient& c = *pool.clients().front();
+  const std::string body(c.last_body().begin(), c.last_body().end());
+
+  // The registry holds only what no single object owns: the trace plane's
+  // stage histograms and per-class sampled counts, and the copy meter.
+  const std::vector<std::string> names = metric_names(body);
+#if QTLS_OBS_ENABLED
+  EXPECT_FALSE(names.empty()) << body;
+#endif
+  for (const std::string& name : names) {
+    if (starts_with(name, "qat.stage.") || starts_with(name, "qat.op.") ||
+        starts_with(name, "sim.qat.stage.") || starts_with(name, "sim.qat.op."))
+      continue;
+    for (const char* owned :
+         {"qat.engine.", "overload.", "control.", "memory.", "tls.session.",
+          "tls.ticket.", "qat.topology.", "sim.qat."})
+      EXPECT_FALSE(starts_with(name, owned)) << name;
+    EXPECT_TRUE(name == "record.bytes_copied" || name == "record.bytes_sent")
+        << name;
+  }
+
+  // Engine: every submitted op completed or expired.
+  const int64_t submitted = stats_field(body, "engine", "submitted");
+  EXPECT_GT(submitted, 0) << body;
+  EXPECT_EQ(submitted, stats_field(body, "engine", "completed") +
+                           stats_field(body, "engine", "deadline_expiries"));
+  for (const char* key : {"submit_retries", "seal_batches", "seal_batch_ops"})
+    EXPECT_GE(stats_field(body, "engine", key), 0) << key;
+
+  // Worker: every accepted connection is closed or alive.
+  EXPECT_EQ(stats_field(body, "worker", "accepted"), 3) << body;
+  EXPECT_EQ(stats_field(body, "worker", "errors"), 0) << body;
+  EXPECT_EQ(stats_field(body, "worker", "accepted"),
+            stats_field(body, "worker", "closed") +
+                stats_field(body, "worker", "alive"));
+
+  // Control: the attached plane's own counters, read once.
+  const ControlPlane::Stats cs = control.stats();
+  EXPECT_EQ(stats_field(body, "control", "generation"),
+            static_cast<int64_t>(control.generation()));
+  EXPECT_EQ(stats_field(body, "control", "applied_generation"),
+            static_cast<int64_t>(control.generation()));
+  const std::pair<const char*, uint64_t> fields[] = {
+      {"reloads", cs.reloads},
+      {"reload_failures", cs.reload_failures},
+      {"plane_changes_ignored", cs.plane_changes_ignored},
+      {"wedge_events", cs.wedge_events},
+      {"busy_holds", cs.busy_holds},
+      {"worker_restarts", cs.worker_restarts},
+      {"workers_abandoned", cs.workers_abandoned},
+      {"last_time_to_detect_ms", cs.last_time_to_detect_ms},
+      {"last_time_to_recover_ms", cs.last_time_to_recover_ms},
+  };
+  for (const auto& [key, value] : fields)
+    EXPECT_EQ(stats_field(body, "control", key), static_cast<int64_t>(value))
+        << key;
+  EXPECT_EQ(cs.reloads, 7u);
+}
 
 }  // namespace
 }  // namespace qtls

@@ -4,7 +4,9 @@
 #pragma once
 
 #include <chrono>
+#include <cstdint>
 #include <memory>
+#include <string>
 
 #include "client/https_client.h"
 #include "server/worker.h"
@@ -41,6 +43,18 @@ inline bool run_to_completion(Worker* worker, client::Pool* pool,
     if (!any_active && worker->pending_async_connections() == 0) return true;
     if (std::chrono::steady_clock::now() > deadline) return false;
   }
+}
+
+// The unsigned number after `"key":` in the `"object":{...}` member of a
+// GET /stats body: the first such key after the object opens. -1 when the
+// object or the key is absent.
+inline int64_t stats_field(const std::string& json, const std::string& object,
+                           const std::string& key) {
+  const size_t obj = json.find("\"" + object + "\":{");
+  if (obj == std::string::npos) return -1;
+  const size_t at = json.find("\"" + key + "\":", obj);
+  if (at == std::string::npos) return -1;
+  return std::stoll(json.substr(at + key.size() + 3));
 }
 
 }  // namespace qtls::server::testutil
