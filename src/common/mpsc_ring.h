@@ -64,13 +64,14 @@ class MpscRing {
     return got;
   }
 
-  // Approximate occupancy; exact only when producers and consumer are quiet.
-  size_t size_hint() const {
-    const size_t head = head_.load(std::memory_order_acquire);
-    const size_t tail = tail_.load(std::memory_order_acquire);
-    return head >= tail ? head - tail : 0;
+  // Consumer side: true when the next try_pop() returns a value. A cell a
+  // producer has claimed but not yet published reads as not ready. One
+  // acquire load.
+  bool front_ready() const {
+    const size_t pos = tail_.load(std::memory_order_relaxed);
+    const size_t seq = cells_[pos & mask_].seq.load(std::memory_order_acquire);
+    return static_cast<intptr_t>(seq) - static_cast<intptr_t>(pos + 1) >= 0;
   }
-  bool empty_hint() const { return size_hint() == 0; }
 
  private:
   template <typename U>

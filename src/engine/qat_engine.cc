@@ -1,5 +1,8 @@
 #include "engine/qat_engine.h"
 
+#include <sys/eventfd.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cassert>
 #include <chrono>
@@ -122,6 +125,18 @@ QatEngineProvider::QatEngineProvider(qat::DeviceTopology* topology,
     lanes_.push_back(std::move(lane));
   }
   for (auto& c : inflight_) c.store(0, std::memory_order_relaxed);
+  wakeup_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (wakeup_fd_ < 0) {
+    QTLS_ERROR << "eventfd failed; the worker polls without sleeping";
+    return;
+  }
+  for (qat::CryptoInstance* inst : instances_) inst->set_wakeup_fd(wakeup_fd_);
+}
+
+QatEngineProvider::~QatEngineProvider() {
+  if (wakeup_fd_ < 0) return;
+  for (qat::CryptoInstance* inst : instances_) inst->set_wakeup_fd(-1);
+  ::close(wakeup_fd_);
 }
 
 size_t QatEngineProvider::poll(size_t max) {
@@ -145,6 +160,21 @@ size_t QatEngineProvider::poll(size_t max) {
   // inflight ops, and flushes an aged coalescing window.
   if (remote_) remote_->pump();
   return got;
+}
+
+bool QatEngineProvider::arm_wakeup() {
+  if (wakeup_fd_ < 0 || remote_hops() > 0) return false;
+  for (qat::CryptoInstance* inst : instances_) {
+    if (!inst->arm_wakeup()) {
+      disarm_wakeup();
+      return false;
+    }
+  }
+  return true;
+}
+
+void QatEngineProvider::disarm_wakeup() {
+  for (qat::CryptoInstance* inst : instances_) inst->disarm_wakeup();
 }
 
 size_t QatEngineProvider::pending_deadline_ops() const {
@@ -631,6 +661,7 @@ void QatEngineProvider::submit_to_remote(qat::OpClass cls,
     // poll cadence up — poll() is also what pumps the channel.
     inflight_[static_cast<int>(cls)].fetch_add(submitted,
                                                std::memory_order_release);
+    remote_hops_.fetch_add(submitted, std::memory_order_release);
     remote_->flush();
     if (n > 1) ++stats_.remote_batches;
   }
@@ -642,6 +673,7 @@ void QatEngineProvider::submit_to_remote(qat::OpClass cls,
   });
   inflight_[static_cast<int>(cls)].fetch_sub(submitted,
                                              std::memory_order_release);
+  remote_hops_.fetch_sub(submitted, std::memory_order_release);
 
   for (Op& op : ops) {
     std::shared_ptr<OpState> s = std::move(op.hop);

@@ -194,6 +194,10 @@ class QatEngineProvider : public CryptoProvider {
   QatEngineProvider(qat::DeviceTopology* topology, int preferred_device,
                     std::vector<DeviceInstanceSet> sets,
                     QatEngineConfig config);
+  ~QatEngineProvider() override;
+
+  QatEngineProvider(const QatEngineProvider&) = delete;
+  QatEngineProvider& operator=(const QatEngineProvider&) = delete;
 
   const char* name() const override { return "qat"; }
 
@@ -240,6 +244,20 @@ class QatEngineProvider : public CryptoProvider {
   // side, so one heuristic trigger retrieves every ready response without
   // taking a lock. Returns retrieved count.
   size_t poll(size_t max = static_cast<size_t>(-1));
+
+  // --- event-driven wakeup (DESIGN.md §5) ---------------------------------
+  // One eventfd, installed on every assigned instance; the worker keeps it
+  // in its epoll set. arm_wakeup() arms every instance and returns true
+  // when the caller may sleep until the fd turns readable. It returns false,
+  // disarmed, when a response already waits (poll instead) or a remote hop
+  // is in flight (only poll() pumps the channel). Polling thread only.
+  int wakeup_fd() const { return wakeup_fd_; }
+  bool arm_wakeup();
+  void disarm_wakeup();
+  // Remote round trips submitted and not yet settled.
+  size_t remote_hops() const {
+    return remote_hops_.load(std::memory_order_acquire);
+  }
 
   qat::CryptoInstance* instance() const { return instances_.front(); }
   const std::vector<qat::CryptoInstance*>& instances() const {
@@ -429,6 +447,8 @@ class QatEngineProvider : public CryptoProvider {
   // for the whole tier (not per class): the failure domain is the channel.
   remote::RemoteBackend* remote_ = nullptr;
   Breaker remote_breaker_;
+  std::atomic<size_t> remote_hops_{0};
+  int wakeup_fd_ = -1;
   // Deadline registry (async ops only; sync ops check the clock in their
   // own spin loop). Touched only when op_deadline_us != 0.
   mutable std::mutex pending_mu_;

@@ -41,11 +41,6 @@ std::string MetricsSnapshot::to_json() const {
     os << (i ? "," : "") << '"' << counters[i].first << "\":"
        << counters[i].second;
   }
-  os << "},\"gauges\":{";
-  for (size_t i = 0; i < gauges.size(); ++i) {
-    os << (i ? "," : "") << '"' << gauges[i].first << "\":"
-       << gauges[i].second;
-  }
   os << "},\"histograms\":{";
   bool first = true;
   for (const auto& h : histograms) {
@@ -67,7 +62,6 @@ std::string MetricsSnapshot::to_json() const {
 std::string MetricsSnapshot::to_text() const {
   std::ostringstream os;
   for (const auto& [n, v] : counters) os << n << " = " << v << '\n';
-  for (const auto& [n, v] : gauges) os << n << " = " << v << '\n';
   for (const auto& h : histograms) {
     if (h.hist.count() == 0) continue;
     os << h.name << ": " << h.hist.summary() << '\n';
@@ -117,13 +111,12 @@ struct HistCells {
 
 }  // namespace
 
-// One thread's cells. Counter/gauge arrays are pre-sized to the registry
+// One thread's cells. Counter arrays are pre-sized to the registry
 // caps; histogram cells hang off atomic pointers filled in at registration
 // (for existing shards) or shard creation (for already-registered
 // histograms), always under the registry mutex.
 struct alignas(kCacheLine) MetricsRegistry::Shard {
   std::atomic<uint64_t> counters[kMaxCounters] = {};
-  std::atomic<int64_t> gauges[kMaxGauges] = {};
   std::atomic<HistCells*> hists[kMaxHistograms] = {};
 
   ~Shard() {
@@ -133,9 +126,8 @@ struct alignas(kCacheLine) MetricsRegistry::Shard {
 
 struct MetricsRegistry::State {
   mutable std::mutex mu;
-  std::vector<std::string> counter_names, gauge_names, hist_names;
-  std::map<std::string, uint32_t, std::less<>> counter_ids, gauge_ids,
-      hist_ids;
+  std::vector<std::string> counter_names, hist_names;
+  std::map<std::string, uint32_t, std::less<>> counter_ids, hist_ids;
   std::vector<std::unique_ptr<Shard>> shards;
   std::map<std::thread::id, Shard*> shard_by_thread;
 };
@@ -172,13 +164,6 @@ Counter MetricsRegistry::counter(std::string_view name) {
                               name, kMaxCounters));
 }
 
-Gauge MetricsRegistry::gauge(std::string_view name) {
-  std::lock_guard<std::mutex> lock(state_->mu);
-  return Gauge(this,
-               intern(state_->gauge_ids, state_->gauge_names, name,
-                      kMaxGauges));
-}
-
 Histogram MetricsRegistry::histogram(std::string_view name) {
   std::lock_guard<std::mutex> lock(state_->mu);
   auto it = state_->hist_ids.find(name);
@@ -197,10 +182,6 @@ Histogram MetricsRegistry::histogram(std::string_view name) {
 size_t MetricsRegistry::num_counters() const {
   std::lock_guard<std::mutex> lock(state_->mu);
   return state_->counter_names.size();
-}
-size_t MetricsRegistry::num_gauges() const {
-  std::lock_guard<std::mutex> lock(state_->mu);
-  return state_->gauge_names.size();
 }
 size_t MetricsRegistry::num_histograms() const {
   std::lock_guard<std::mutex> lock(state_->mu);
@@ -250,16 +231,6 @@ void MetricsRegistry::counter_add(uint32_t id, uint64_t n) {
              std::memory_order_relaxed);
 }
 
-void MetricsRegistry::gauge_set(uint32_t id, int64_t v) {
-  local_shard()->gauges[id].store(v, std::memory_order_relaxed);
-}
-
-void MetricsRegistry::gauge_add(uint32_t id, int64_t delta) {
-  auto& cell = local_shard()->gauges[id];
-  cell.store(cell.load(std::memory_order_relaxed) + delta,
-             std::memory_order_relaxed);
-}
-
 void MetricsRegistry::histogram_record(uint32_t id, uint64_t nanos) {
   HistCells* cells =
       local_shard()->hists[id].load(std::memory_order_acquire);
@@ -275,13 +246,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     for (const auto& shard : state_->shards)
       total += shard->counters[i].load(std::memory_order_relaxed);
     out.counters.emplace_back(state_->counter_names[i], total);
-  }
-  out.gauges.reserve(state_->gauge_names.size());
-  for (size_t i = 0; i < state_->gauge_names.size(); ++i) {
-    int64_t total = 0;
-    for (const auto& shard : state_->shards)
-      total += shard->gauges[i].load(std::memory_order_relaxed);
-    out.gauges.emplace_back(state_->gauge_names[i], total);
   }
   out.histograms.reserve(state_->hist_names.size());
   for (size_t i = 0; i < state_->hist_names.size(); ++i) {
@@ -308,7 +272,6 @@ void MetricsRegistry::reset() {
   std::lock_guard<std::mutex> lock(state_->mu);
   for (auto& shard : state_->shards) {
     for (auto& c : shard->counters) c.store(0, std::memory_order_relaxed);
-    for (auto& g : shard->gauges) g.store(0, std::memory_order_relaxed);
     for (auto& h : shard->hists) {
       if (HistCells* cells = h.load(std::memory_order_relaxed)) cells->zero();
     }

@@ -1,8 +1,8 @@
 // Runtime metrics registry for the offload pipeline (DESIGN.md §8).
 //
 // The bench harness stats (common/stats.h) are offline accumulators owned by
-// one thread; this registry is the always-on plane: counters, gauges and
-// latency histograms keyed by interned string labels, recordable from any
+// one thread; this registry is the always-on plane: counters and latency
+// histograms keyed by interned string labels, recordable from any
 // thread with relaxed-atomic cost and no heap allocation on the record path.
 //
 // Design:
@@ -16,7 +16,7 @@
 //    shard list is stable) and sums the relaxed-published cells; writers
 //    are never blocked. Tolerates snapshot-while-writing by construction.
 //  * Fixed capacity — shards pre-size their cell arrays to kMaxCounters /
-//    kMaxGauges / kMaxHistograms so registration never reallocates storage
+//    kMaxHistograms so registration never reallocates storage
 //    a concurrent recorder might be touching. Histogram cells (16 KB per
 //    histogram per shard) are allocated at registration / shard creation,
 //    behind the same mutex.
@@ -27,9 +27,7 @@
 //    coexist with an enabled library without ODR collisions (the
 //    compiled-out regression test relies on this).
 //
-// Aggregation semantics: counters and histograms sum across shards; gauges
-// also sum across shards (a per-thread gauge set() is that thread's
-// contribution — use one writer thread per gauge for absolute values).
+// Aggregation semantics: counters and histograms sum across shards.
 #pragma once
 
 #include <cstdint>
@@ -58,7 +56,6 @@ struct HistogramSnapshot {
 
 struct MetricsSnapshot {
   std::vector<std::pair<std::string, uint64_t>> counters;
-  std::vector<std::pair<std::string, int64_t>> gauges;
   std::vector<HistogramSnapshot> histograms;
 
   // 0 / nullptr when the name is absent.
@@ -91,20 +88,6 @@ class Counter {
   uint32_t id_ = 0;
 };
 
-class Gauge {
- public:
-  Gauge() = default;
-  inline void set(int64_t v);
-  inline void add(int64_t delta);
-  uint32_t id() const { return id_; }
-
- private:
-  friend class MetricsRegistry;
-  Gauge(MetricsRegistry* reg, uint32_t id) : reg_(reg), id_(id) {}
-  MetricsRegistry* reg_ = nullptr;
-  uint32_t id_ = 0;
-};
-
 class Histogram {
  public:
   Histogram() = default;
@@ -123,7 +106,6 @@ class MetricsRegistry {
   // Fixed shard capacity: registration beyond a cap is clamped to the last
   // id (metrics alias rather than corrupt memory) and logged once.
   static constexpr size_t kMaxCounters = 256;
-  static constexpr size_t kMaxGauges = 64;
   static constexpr size_t kMaxHistograms = 64;
 
   MetricsRegistry();
@@ -138,12 +120,10 @@ class MetricsRegistry {
   // Interning registration: the first call for a name assigns an id; later
   // calls (any thread) return a handle with the same id. Cold path (mutex).
   Counter counter(std::string_view name);
-  Gauge gauge(std::string_view name);
   Histogram histogram(std::string_view name);
 
   // Registered-metric counts (interning observability).
   size_t num_counters() const;
-  size_t num_gauges() const;
   size_t num_histograms() const;
   size_t num_shards() const;
 
@@ -158,8 +138,6 @@ class MetricsRegistry {
 
   // --- record paths (called via the handles) ---------------------------
   void counter_add(uint32_t id, uint64_t n);
-  void gauge_set(uint32_t id, int64_t v);
-  void gauge_add(uint32_t id, int64_t delta);
   void histogram_record(uint32_t id, uint64_t nanos);
 
  private:
@@ -175,12 +153,6 @@ class MetricsRegistry {
 
 inline void Counter::add(uint64_t n) {
   if (reg_) reg_->counter_add(id_, n);
-}
-inline void Gauge::set(int64_t v) {
-  if (reg_) reg_->gauge_set(id_, v);
-}
-inline void Gauge::add(int64_t delta) {
-  if (reg_) reg_->gauge_add(id_, delta);
 }
 inline void Histogram::record(uint64_t nanos) {
   if (reg_) reg_->histogram_record(id_, nanos);
@@ -199,13 +171,6 @@ class Counter {
   uint32_t id() const { return 0; }
 };
 
-class Gauge {
- public:
-  void set(int64_t) {}
-  void add(int64_t) {}
-  uint32_t id() const { return 0; }
-};
-
 class Histogram {
  public:
   void record(uint64_t) {}
@@ -215,7 +180,6 @@ class Histogram {
 class MetricsRegistry {
  public:
   static constexpr size_t kMaxCounters = 256;
-  static constexpr size_t kMaxGauges = 64;
   static constexpr size_t kMaxHistograms = 64;
 
   static MetricsRegistry& global() {
@@ -224,11 +188,9 @@ class MetricsRegistry {
   }
 
   Counter counter(std::string_view) { return {}; }
-  Gauge gauge(std::string_view) { return {}; }
   Histogram histogram(std::string_view) { return {}; }
 
   size_t num_counters() const { return 0; }
-  size_t num_gauges() const { return 0; }
   size_t num_histograms() const { return 0; }
   size_t num_shards() const { return 0; }
 

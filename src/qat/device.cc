@@ -1,6 +1,9 @@
 #include "qat/device.h"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 #include <sstream>
 
@@ -18,6 +21,19 @@ size_t round_up_pow2(size_t v) {
   while (p < v) p <<= 1;
   return p < 2 ? 2 : p;
 }
+
+// The store-load barrier of the wakeup handshake. The arming side orders
+// its flag store before its ring re-check; the engine orders its response
+// push before its flag load. Between two seq_cst fences one side always
+// sees the other's store, so a response is either found by the re-check or
+// wakes the poller. TSan does not model fences (GCC's -Wtsan); its runtime
+// still executes a real one, and every access the handshake orders is atomic.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wtsan"
+inline void store_load_fence() {
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+}
+#pragma GCC diagnostic pop
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -83,6 +99,38 @@ size_t CryptoInstance::poll(size_t max) {
   }
   poll_guard_.clear(std::memory_order_release);
   return total;
+}
+
+void CryptoInstance::set_wakeup_fd(int fd) {
+  assert(fd < 0 || wakeup_fd_.load(std::memory_order_relaxed) < 0);
+  // Uninstalling waits out any engine that already took the flag, so the
+  // old fd may be closed once this returns.
+  needs_wakeup_.store(false, std::memory_order_seq_cst);
+  while (waking_.load(std::memory_order_seq_cst) != 0)
+    std::this_thread::yield();
+  wakeup_fd_.store(fd, std::memory_order_release);
+}
+
+bool CryptoInstance::arm_wakeup() {
+  needs_wakeup_.store(true, std::memory_order_relaxed);
+  store_load_fence();
+  if (!response_ring_.front_ready()) return true;
+  disarm_wakeup();
+  return false;
+}
+
+void CryptoInstance::wake_poller() {
+  store_load_fence();
+  if (!needs_wakeup_.load(std::memory_order_relaxed)) return;
+  waking_.fetch_add(1, std::memory_order_seq_cst);
+  if (needs_wakeup_.exchange(false, std::memory_order_seq_cst)) {
+    const uint64_t one = 1;
+    const int fd = wakeup_fd_.load(std::memory_order_acquire);
+    if (fd >= 0) {
+      [[maybe_unused]] ssize_t n = ::write(fd, &one, sizeof(one));
+    }
+  }
+  waking_.fetch_sub(1, std::memory_order_release);
 }
 
 // ---------------------------------------------------------------------------
@@ -236,6 +284,7 @@ void QatEndpoint::serve(EngineSlot& slot, CryptoRequest& req,
     // succeeds; the yield loop is a backstop, not a steady state.
     while (!from->response_ring_.try_push(std::move(entry)))
       std::this_thread::yield();
+    from->wake_poller();
   }
 }
 

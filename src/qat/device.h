@@ -97,6 +97,18 @@ class CryptoInstance {
   // Submitted but not yet retrieved (includes requests in service).
   size_t inflight() const { return inflight_.load(std::memory_order_acquire); }
 
+  // Event-driven wakeup (DESIGN.md §5). The provider that polls this
+  // instance installs its eventfd once (-1 uninstalls; an instance serves
+  // one provider). arm_wakeup() asks the engine that pushes the next
+  // response to write that fd once; it returns false, disarmed, when a
+  // response already waits, so the caller polls instead of sleeping. Arm
+  // and disarm come from the polling thread.
+  void set_wakeup_fd(int fd);
+  bool arm_wakeup();
+  void disarm_wakeup() {
+    needs_wakeup_.store(false, std::memory_order_relaxed);
+  }
+
   // Hard bound on inflight requests per instance; submits beyond it fail
   // like a full ring so the bounded response ring can never overflow.
   size_t inflight_limit() const { return response_ring_.capacity(); }
@@ -114,6 +126,9 @@ class CryptoInstance {
 
   // Common submit body; returns false without kicking on rejection.
   bool push_request(CryptoRequest& req);
+  // Engine side of the wakeup, after a response push: one fence and one
+  // load when unarmed.
+  void wake_poller();
 
   QatEndpoint* endpoint_;
   int id_;
@@ -129,6 +144,12 @@ class CryptoInstance {
   std::atomic<size_t> inflight_{0};
   // Request-side firmware counters (written by the single submitter).
   OpClassCounters req_counters_;
+  // Wakeup handshake: set by arm_wakeup(), taken (exchange) by the engine
+  // that writes `wakeup_fd_`. `waking_` counts engines between the two, so
+  // uninstalling waits them out before the provider closes the fd.
+  alignas(kCacheLine) std::atomic<bool> needs_wakeup_{false};
+  std::atomic<int> wakeup_fd_{-1};
+  std::atomic<int> waking_{0};
 };
 
 // Firmware counters, readable like /sys/kernel/debug/qat*/fw_counters.

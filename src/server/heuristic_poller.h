@@ -12,6 +12,11 @@
 //
 //  Failover: if no heuristic poll triggered within an interval while
 //  requests are in flight, force one (paper §4.3's 5 ms timer).
+//
+//  Wake: the loop has nothing left to do but ops are in flight, so it arms
+//  the engine's wakeup and sleeps in epoll (DESIGN.md §5). The engine's
+//  eventfd firing during that sleep polls (wake trigger); a response that
+//  is already waiting when the loop arms is polled at once (ready trigger).
 #pragma once
 
 #include <cstdint>
@@ -33,6 +38,8 @@ struct HeuristicPollerStats {
   uint64_t efficiency_triggers = 0;
   uint64_t timeliness_triggers = 0;
   uint64_t failover_triggers = 0;
+  uint64_t wake_triggers = 0;   // the engine's eventfd fired during a sleep
+  uint64_t ready_triggers = 0;  // a response waited when the loop armed
 };
 
 class HeuristicPoller {
@@ -68,6 +75,25 @@ class HeuristicPoller {
     if (engine_->inflight_total() == 0) return 0;
     if (now_ms - last_poll_ms_ < config_.failover_interval_ms) return 0;
     ++stats_.failover_triggers;
+    return do_poll(now_ms);
+  }
+
+  // The loop is about to block with ops in flight and nothing queued: arm
+  // the engine's wakeup. True = sleep until its eventfd (or a socket, a
+  // timer, the failover bound) fires. False = do not sleep: a response
+  // already waits (polled here) or a remote hop needs the poll cadence.
+  bool arm_or_poll(uint64_t now_ms) {
+    if (engine_->arm_wakeup()) return true;
+    if (engine_->remote_hops() == 0) {
+      ++stats_.ready_triggers;
+      (void)do_poll(now_ms);
+    }
+    return false;
+  }
+
+  // The engine's eventfd fired while the loop slept.
+  size_t wake_poll(uint64_t now_ms) {
+    ++stats_.wake_triggers;
     return do_poll(now_ms);
   }
 

@@ -85,8 +85,16 @@ Worker::Worker(tls::TlsContext* tls_ctx, engine::QatEngineProvider* qat,
       park_pool_(
           std::make_unique<common::SlabPool<ParkedAccept>>("server.parked")),
       scratch_pool_("server.hs_scratch") {
-  if (qat_ && config_.poll == PollScheme::kHeuristic)
+  if (qat_ && config_.poll == PollScheme::kHeuristic) {
     poller_ = std::make_unique<HeuristicPoller>(qat_, config_.heuristic);
+    if (qat_->wakeup_fd() >= 0) {
+      const Status st = loop_.add(qat_->wakeup_fd(), true, false,
+                                  [this](net::FdEvents) { on_device_wakeup(); });
+      if (!st.is_ok()) {
+        QTLS_WARN << "wakeup fd: " << st.to_string();
+      }
+    }
+  }
   if (config_.clock) loop_.set_clock(config_.clock);
   response_body_.resize(config_.response_body_size);
   for (size_t i = 0; i < response_body_.size(); ++i)
@@ -756,6 +764,7 @@ std::string Worker::stats_json() const {
      << ",\"disorder_events\":" << stats_.disorder_events
      << ",\"async_parks\":" << stats_.async_parks
      << ",\"async_failures\":" << stats_.async_failures
+     << ",\"sleeps\":" << stats_.sleeps
      << ",\"alive\":" << alive_connections()
      << ",\"active\":" << active_connections() << "}";
   os << ",\"overload\":{"
@@ -827,7 +836,9 @@ std::string Worker::stats_json() const {
        << ",\"max_batch\":" << p->max_batch
        << ",\"efficiency_triggers\":" << p->efficiency_triggers
        << ",\"timeliness_triggers\":" << p->timeliness_triggers
-       << ",\"failover_triggers\":" << p->failover_triggers << "}";
+       << ",\"failover_triggers\":" << p->failover_triggers
+       << ",\"wake_triggers\":" << p->wake_triggers
+       << ",\"ready_triggers\":" << p->ready_triggers << "}";
   }
   // Control plane (DESIGN.md §15): what generation this worker runs, the
   // attached plane's published generation and episode counters, and the
@@ -1010,18 +1021,48 @@ void Worker::maybe_heuristic_poll() {
   if (poller_) (void)poller_->maybe_poll(active_connections(), now_ms());
 }
 
+int Worker::sleep_budget(int timeout_ms) {
+  // Queued handlers never wait; a caller's 0 stays a poll.
+  if (timeout_ms == 0 || !async_queue_.empty()) return 0;
+  if (!qat_ || qat_->inflight_total() == 0) return timeout_ms;
+  // Ops in flight and nothing else to do: sleep until the device answers
+  // (DESIGN.md §5). With the timer scheme the polling thread retrieves and
+  // each connection's eventfd wakes epoll; in-app polling arms the
+  // engine's wakeup, and a sleep never outlasts the failover interval, so
+  // the deadline sweep keeps its cadence.
+  if (poller_) {
+    if (!poller_->arm_or_poll(now_ms())) return 0;
+    wakeup_armed_ = true;
+    const int failover = static_cast<int>(std::min<uint64_t>(
+        poller_->config().failover_interval_ms, INT32_MAX));
+    timeout_ms = timeout_ms < 0 ? failover : std::min(timeout_ms, failover);
+  }
+  ++stats_.sleeps;
+  return timeout_ms;
+}
+
+void Worker::on_device_wakeup() {
+  uint64_t count = 0;
+  [[maybe_unused]] ssize_t r = ::read(qat_->wakeup_fd(), &count, sizeof(count));
+  // A write that raced a refused arm lands outside a sleep; the next arm's
+  // re-check finds its response.
+  if (!wakeup_armed_) return;
+  note_progress();
+  (void)poller_->wake_poll(now_ms());
+}
+
 int Worker::run_once(int timeout_ms) {
   if (config_.loop_hook) config_.loop_hook(*this);
   if (config_.control != nullptr) maybe_apply_runtime_config();
   if (drain_requested_.load(std::memory_order_acquire) && !draining_)
     begin_drain();
-  // §3.4: as long as async work is pending, keep the loop spinning rather
-  // than sleep-waiting in epoll.
-  const bool work_pending =
-      !async_queue_.empty() || (qat_ && qat_->inflight_total() > 0);
   heartbeat_.phase.store(static_cast<uint8_t>(WorkerPhase::kPoll),
                          std::memory_order_relaxed);
-  const int n = loop_.run_once(work_pending ? 0 : timeout_ms);
+  const int n = loop_.run_once(sleep_budget(timeout_ms));
+  if (wakeup_armed_) {
+    wakeup_armed_ = false;
+    qat_->disarm_wakeup();
+  }
 
   maybe_heuristic_poll();
   if (poller_) (void)poller_->failover_poll(now_ms());

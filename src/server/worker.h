@@ -9,6 +9,8 @@
 //    loop iteration, or eventfd through epoll;
 //  * heuristic polling hooks wherever ops are submitted or TC_active moves,
 //    plus the failover timer;
+//  * with nothing left to do but ops in flight, a sleep in epoll until the
+//    engine's wakeup eventfd fires (DESIGN.md §5) instead of a spin;
 //  * stub_status-style accounting: TC_active = TC_alive - TC_idle.
 #pragma once
 
@@ -92,6 +94,8 @@ struct WorkerStats {
   uint64_t async_parks = 0;       // WANT_ASYNC occurrences
   uint64_t async_failures = 0;    // connections torn down because the async
                                   // op they were parked on erred/expired
+  uint64_t sleeps = 0;            // passes that let epoll sleep with ops in
+                                  // flight
 };
 
 class Worker {
@@ -244,6 +248,11 @@ class Worker {
   void set_idle(Conn* conn, bool idle);
 
   void maybe_heuristic_poll();
+  // How long this pass may block in epoll; arms the engine's wakeup when
+  // the loop sleeps with ops in flight.
+  int sleep_budget(int timeout_ms);
+  // The engine's wakeup eventfd turned readable.
+  void on_device_wakeup();
   // Apply a newly published RuntimeConfig generation on the worker thread
   // (credentials, overload caps, http limits, file root, remote rebind).
   void maybe_apply_runtime_config();
@@ -279,6 +288,7 @@ class Worker {
 
   AsyncEventQueue async_queue_;
   std::unique_ptr<HeuristicPoller> poller_;
+  bool wakeup_armed_ = false;  // this pass sleeps on the engine's wakeup
   Bytes response_body_;
   WorkerStats stats_;
 

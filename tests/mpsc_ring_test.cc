@@ -20,12 +20,15 @@ TEST(MpscRing, CapacityRoundsUpToPowerOfTwo) {
 
 TEST(MpscRing, PushPopFifoSingleThread) {
   MpscRing<int> ring(8);
+  EXPECT_FALSE(ring.front_ready());
   for (int i = 0; i < 8; ++i) EXPECT_TRUE(ring.try_push(i));
   for (int i = 0; i < 8; ++i) {
+    EXPECT_TRUE(ring.front_ready());
     auto v = ring.try_pop();
     ASSERT_TRUE(v.has_value());
     EXPECT_EQ(*v, i);
   }
+  EXPECT_FALSE(ring.front_ready());
   EXPECT_FALSE(ring.try_pop().has_value());
 }
 

@@ -17,23 +17,18 @@ static_assert(!QTLS_OBS_ENABLED,
 TEST(ObsDisabled, RegistryIsAnEmptyStub) {
   MetricsRegistry& reg = MetricsRegistry::global();
   Counter c = reg.counter("requests");
-  Gauge g = reg.gauge("depth");
   Histogram h = reg.histogram("latency");
 
   c.add(100);
   c.inc();
-  g.set(42);
-  g.add(-1);
   h.record(12345);
 
   EXPECT_EQ(reg.num_counters(), 0u);
-  EXPECT_EQ(reg.num_gauges(), 0u);
   EXPECT_EQ(reg.num_histograms(), 0u);
   EXPECT_EQ(reg.num_shards(), 0u);
 
   const MetricsSnapshot snap = reg.snapshot();
   EXPECT_TRUE(snap.counters.empty());
-  EXPECT_TRUE(snap.gauges.empty());
   EXPECT_TRUE(snap.histograms.empty());
   EXPECT_EQ(snap.counter_value("requests"), 0u);
   EXPECT_EQ(snap.histogram("latency"), nullptr);

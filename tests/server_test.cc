@@ -318,11 +318,13 @@ struct ServerRig {
 
   ServerRig(bool use_qat, engine::OffloadMode mode, WorkerConfig wcfg,
             tls::CipherSuite suite = tls::CipherSuite::kTlsRsaWithAes128CbcSha,
-            bool self_poll_when_blocking = true)
-      : device([] {
+            bool self_poll_when_blocking = true,
+            uint64_t extra_service_ns = 0)
+      : device([extra_service_ns] {
           qat::DeviceConfig d;
           d.num_endpoints = 1;
           d.engines_per_endpoint = 8;
+          d.extra_service_ns = extra_service_ns;
           return d;
         }()) {
     tls::TlsContextConfig scfg;
@@ -543,6 +545,83 @@ TEST(WorkerE2E, ManyConcurrentClientsNoStarvation) {
   // With thresholds this low and 16 concurrent connections, the efficiency
   // trigger must have fired.
   EXPECT_GT(rig.worker->poller_stats()->efficiency_triggers, 0u);
+}
+
+// ------------------------------------------- sleeping on the device ----
+
+TEST(WorkerSleep, TimerSchemeSleepsWhileThePollingThreadRetrieves) {
+  // QAT+A: the polling thread retrieves and each connection's eventfd
+  // wakes epoll, so with ops on a slow device the loop has nothing to spin
+  // for. One handshake is about ten 20 ms ops.
+  WorkerConfig wcfg;
+  wcfg.notify = NotifyScheme::kFd;
+  wcfg.poll = PollScheme::kTimer;
+  ServerRig rig(true, engine::OffloadMode::kAsync, wcfg,
+                tls::CipherSuite::kTlsRsaWithAes128CbcSha, true,
+                /*extra_service_ns=*/20'000'000);
+  engine::PollingThread poller({rig.qat->instance()},
+                               std::chrono::microseconds(10));
+
+  client::Pool pool;
+  client::ClientOptions copts;
+  copts.max_requests = 1;
+  pool.add(std::make_unique<client::HttpsClient>(
+      rig.client_ctx.get(), socketpair_connector(rig.worker.get()), copts));
+  ASSERT_TRUE(run_to_completion(rig.worker.get(), &pool, 60,
+                                /*timeout_ms=*/100));
+  poller.stop();
+  EXPECT_EQ(pool.aggregate().errors, 0u);
+  EXPECT_EQ(rig.worker->stats().handshakes_completed, 1u);
+  EXPECT_GT(rig.worker->stats().sleeps, 0u);
+  EXPECT_LE(rig.worker->heartbeat().iterations.load(), 100u);
+}
+
+TEST(WorkerSleep, ReadyResponseDoesNotWaitForFailover) {
+  // Connection B sits mid-handshake waiting for its client, so it counts
+  // as active: with A's one op in flight, R_total (1) < TC_active (2) and
+  // the timeliness trigger cannot fire. Only the engine's wakeup can
+  // retrieve A's response before the 200 ms failover poll.
+  WorkerConfig wcfg;
+  wcfg.notify = NotifyScheme::kKernelBypass;
+  wcfg.poll = PollScheme::kHeuristic;
+  wcfg.heuristic.failover_interval_ms = 200;
+  ServerRig rig(true, engine::OffloadMode::kAsync, wcfg);
+  Worker& worker = *rig.worker;
+
+  auto pair = net::make_socketpair();
+  ASSERT_TRUE(pair.is_ok());
+  ASSERT_TRUE(worker.adopt(pair.value().second).is_ok());
+  net::SocketTransport b_transport(pair.value().first);
+  tls::TlsConnection b(rig.client_ctx.get(), &b_transport);
+  ASSERT_EQ(b.handshake(), tls::TlsResult::kWantRead);  // ClientHello only
+  for (int i = 0; i < 10; ++i) worker.run_once(0);
+  ASSERT_EQ(worker.active_connections(), 1u);
+  ASSERT_EQ(rig.qat->inflight_total(), 0u);
+
+  client::ClientOptions copts;
+  copts.max_requests = 1;
+  client::HttpsClient a(rig.client_ctx.get(), socketpair_connector(&worker),
+                        copts);
+  for (int i = 0; i < 10'000 && rig.qat->inflight_total() == 0; ++i) {
+    (void)a.step();
+    worker.run_once(0);
+  }
+  ASSERT_EQ(rig.qat->inflight_total(), 1u);
+  ASSERT_EQ(worker.active_connections(), 2u);
+
+  const HeuristicPollerStats before = *worker.poller_stats();
+  const auto start = std::chrono::steady_clock::now();
+  while (worker.poller_stats()->retrieved == before.retrieved &&
+         std::chrono::steady_clock::now() - start < std::chrono::seconds(2))
+    worker.run_once(1000);
+  const auto waited = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(worker.poller_stats()->retrieved, before.retrieved + 1);
+  EXPECT_LT(waited, std::chrono::milliseconds(100));
+  const HeuristicPollerStats& after = *worker.poller_stats();
+  EXPECT_EQ(after.failover_triggers, before.failover_triggers);
+  EXPECT_EQ(after.timeliness_triggers + after.efficiency_triggers, 0u);
+  EXPECT_GE(after.wake_triggers + after.ready_triggers,
+            before.wake_triggers + before.ready_triggers + 1);
 }
 
 TEST(HeuristicPoller, TimelinessTriggerFiresWhenAllActiveBlocked) {

@@ -29,9 +29,11 @@ inline client::ConnectFn socketpair_connector(Worker* worker) {
 // deadline passes. Returns true when both hold. Quiescent means no
 // connection is parked on an offload: a client is done once it has sent its
 // close_notify, but the server's decrypt of that record is itself an async
-// offload that can still be on the device.
+// offload that can still be on the device. `timeout_ms` is each pass's
+// epoll budget: 0 polls, anything else lets the worker sleep while its ops
+// are on the device.
 inline bool run_to_completion(Worker* worker, client::Pool* pool,
-                              int deadline_seconds = 60) {
+                              int deadline_seconds = 60, int timeout_ms = 0) {
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::seconds(deadline_seconds);
   for (;;) {
@@ -39,7 +41,7 @@ inline bool run_to_completion(Worker* worker, client::Pool* pool,
     for (auto& c : pool->clients()) {
       if (c->step()) any_active = true;
     }
-    worker->run_once(0);
+    worker->run_once(timeout_ms);
     if (!any_active && worker->pending_async_connections() == 0) return true;
     if (std::chrono::steady_clock::now() > deadline) return false;
   }

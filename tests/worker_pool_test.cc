@@ -3,6 +3,7 @@
 // by TCP clients from the test thread.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 
 #include "client/https_client.h"
@@ -192,6 +193,65 @@ TEST(WorkerPool, TopologyPoolPlacesWorkersAndReportsFleet) {
   EXPECT_GT(topo.device(0).fw_counters().total_requests() +
                 topo.device(1).fw_counters().total_requests(),
             0u);
+}
+
+TEST(WorkerPool, SleepingWorkerWakesOnTheDeviceAndKeepsItsHeartbeat) {
+  // One worker, one client, every op 20 ms on the device: the worker has
+  // nothing to do but wait. It sleeps on the engine's wakeup, each sleep
+  // bounded by the 5 ms failover interval, so the heartbeat the watchdog
+  // scores keeps moving.
+  qat::TopologyConfig tc;
+  tc.device.num_endpoints = 1;
+  tc.device.engines_per_endpoint = 2;
+  tc.device.extra_service_ns = 20'000'000;
+  qat::DeviceTopology topo(tc);
+
+  WorkerPoolOptions options;
+  options.workers = 1;
+  options.tls_config.async_mode = true;
+  options.tls_config.cipher_suites = {
+      tls::CipherSuite::kTlsRsaWithAes128CbcSha};
+  WorkerPool pool(&topo, &test_rsa2048(), options);
+  ASSERT_TRUE(pool.start(0).is_ok());
+
+  engine::SoftwareProvider client_provider;
+  tls::TlsContextConfig ccfg;
+  ccfg.cipher_suites = options.tls_config.cipher_suites;
+  tls::TlsContext cctx(ccfg, &client_provider);
+  const uint16_t port = pool.port();
+  client::ClientOptions copts;
+  copts.max_requests = 1;
+  client::HttpsClient client(
+      &cctx,
+      [port]() -> int {
+        auto fd = net::tcp_connect(port);
+        return fd.is_ok() ? fd.value() : -1;
+      },
+      copts);
+
+  using Clock = std::chrono::steady_clock;
+  const WorkerHeartbeat& heartbeat = pool.worker(0)->heartbeat();
+  uint64_t seen = heartbeat.iterations.load(std::memory_order_relaxed);
+  Clock::time_point changed = Clock::now();
+  Clock::duration longest_stall{};
+  const Clock::time_point deadline = Clock::now() + std::chrono::seconds(60);
+  while (client.step() && Clock::now() < deadline) {
+    const uint64_t now_seen =
+        heartbeat.iterations.load(std::memory_order_relaxed);
+    if (now_seen == seen) continue;
+    longest_stall = std::max(longest_stall, Clock::now() - changed);
+    seen = now_seen;
+    changed = Clock::now();
+  }
+  pool.stop();
+  EXPECT_TRUE(client.finished());
+  EXPECT_EQ(client.stats().errors, 0u);
+  EXPECT_LT(longest_stall, std::chrono::milliseconds(250));
+
+  const Worker& worker = *pool.worker(0);
+  EXPECT_GT(worker.stats().sleeps, 0u);
+  ASSERT_NE(worker.poller_stats(), nullptr);
+  EXPECT_GE(worker.poller_stats()->wake_triggers, 1u);
 }
 
 }  // namespace
