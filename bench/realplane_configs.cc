@@ -13,7 +13,6 @@
 #include "client/https_client.h"
 #include "common/stats.h"
 #include "crypto/keystore.h"
-#include "engine/polling_thread.h"
 #include "server/worker.h"
 
 using namespace qtls;
@@ -43,7 +42,6 @@ RunOutcome run_config(bool use_qat, engine::OffloadMode mode,
   if (use_qat) {
     engine::QatEngineConfig qcfg;
     qcfg.offload_mode = mode;
-    qcfg.self_poll_when_blocking = poll != server::PollScheme::kTimer;
     qat = std::make_unique<engine::QatEngineProvider>(
         device.allocate_instance(), qcfg);
     provider = qat.get();
@@ -63,13 +61,9 @@ RunOutcome run_config(bool use_qat, engine::OffloadMode mode,
   wcfg.notify = notify;
   wcfg.poll = poll;
   wcfg.response_body_size = 128;
+  // QAT+A's 10 us polling thread is the worker's own (the default
+  // timer_interval).
   server::Worker worker(&sctx, qat.get(), wcfg);
-
-  std::unique_ptr<engine::PollingThread> poller;
-  if (use_qat && poll == server::PollScheme::kTimer)
-    poller = std::make_unique<engine::PollingThread>(
-        std::vector<qat::CryptoInstance*>{qat->instance()},
-        std::chrono::microseconds(10));
 
   engine::SoftwareProvider client_provider(2);
   tls::TlsContextConfig ccfg;
@@ -96,7 +90,6 @@ RunOutcome run_config(bool use_qat, engine::OffloadMode mode,
     for (auto& c : pool.clients()) c->step();
     worker.run_once(0);
   }
-  if (poller) poller->stop();
 
   const client::ClientStats stats = pool.aggregate();
   RunOutcome out;

@@ -36,7 +36,7 @@ inline CrossWorkerResult run_cross_worker_resumption(
   options.tls_config.use_session_tickets = session_tickets;
   options.tls_config.cipher_suites = {
       tls::CipherSuite::kEcdheRsaWithAes128CbcSha};
-  options.response_body_size = 512;
+  options.worker_config.response_body_size = 512;
 
   server::WorkerPool pool(&topo, &test_rsa2048(), options);
   CrossWorkerResult out;

@@ -100,31 +100,19 @@ int main(int argc, char** argv) {
   // Device fleet from the qat_topology{} block; each logical device is
   // DH8970-shaped (3 endpoints x 12 engines). The pool stripes workers
   // across the fleet; the single-worker self-test is worker 0 of 1.
-  qat::TopologyConfig topo_config;
-  topo_config.num_devices = settings.value().topology.devices;
-  topo_config.numa_nodes = settings.value().topology.numa_nodes;
-  topo_config.spill_threshold = settings.value().topology.spill_threshold;
-  topo_config.worker_affinity = settings.value().topology.worker_affinity;
-  qat::DeviceTopology topology(topo_config);
+  qat::DeviceTopology topology(settings.value().topology);
 
-  tls::TlsContextConfig tls_config;
-  tls_config.is_server = true;
-  tls_config.async_mode =
-      settings.value().engine.offload_mode == engine::OffloadMode::kAsync;
-  tls_config.cipher_suites = {tls::CipherSuite::kEcdheRsaWithAes128CbcSha,
-                              tls::CipherSuite::kTlsRsaWithAes128CbcSha};
-
-  server::WorkerConfig worker_config;
-  worker_config.notify = settings.value().notify;
-  worker_config.poll = settings.value().poll;
-  worker_config.heuristic = settings.value().heuristic;
-  worker_config.overload = settings.value().overload;
-  worker_config.http_limits = settings.value().http_limits;
-  worker_config.response_body_size = 1024;
+  // Everything else the conf says, mapped once; both modes add only what
+  // the conf does not say.
+  server::WorkerPoolOptions options =
+      server::pool_options_from(settings.value());
+  options.tls_config.cipher_suites = {
+      tls::CipherSuite::kEcdheRsaWithAes128CbcSha,
+      tls::CipherSuite::kTlsRsaWithAes128CbcSha};
+  options.worker_config.response_body_size = 1024;
   // Static-file streaming (DESIGN.md §11): --file-root overrides the conf's
   // http{file_root} knob; paths resolve under the root, misses answer 404.
-  worker_config.file_root =
-      file_root != nullptr ? file_root : settings.value().file_root;
+  if (file_root != nullptr) options.worker_config.file_root = file_root;
 
   if (listen_port >= 0) {
     // Serving mode: a WorkerPool (SO_REUSEPORT accept sharing, one QAT
@@ -137,12 +125,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "control load failed: %s\n", st.to_string().c_str());
       return 1;
     }
-    server::WorkerPoolOptions options;
-    options.workers = settings.value().worker_processes;
-    options.worker_config = worker_config;
     options.worker_config.control = &control;
-    options.tls_config = tls_config;
-    options.engine_config = settings.value().engine;
     auto pool = std::make_unique<server::WorkerPool>(
         &topology, &test_rsa2048(), options);
     auto status = pool->start(static_cast<uint16_t>(listen_port));
@@ -189,11 +172,15 @@ int main(int argc, char** argv) {
   engine::QatEngineProvider qat_engine(
       &topology, topology.preferred_device(0, 1),
       {engine::DeviceInstanceSet{placement.device, {placement.instance}}},
-      settings.value().engine);
+      options.engine_config);
+  tls::TlsContextConfig tls_config = options.tls_config;
+  tls_config.is_server = true;
   tls::TlsContext tls_ctx(tls_config, &qat_engine);
+  tls::SessionPlane session_plane(options.session);
+  tls_ctx.set_session_plane(&session_plane);
   tls_ctx.credentials().rsa_key = &test_rsa2048();
   tls_ctx.credentials().ecdsa_p256 = &test_ec_key_p256();
-  server::Worker worker(&tls_ctx, &qat_engine, worker_config);
+  server::Worker worker(&tls_ctx, &qat_engine, options.worker_config);
 
   engine::SoftwareProvider client_provider;
   tls::TlsContextConfig client_config;

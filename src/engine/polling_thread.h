@@ -2,11 +2,18 @@
 // QAT Engine and the foil of the paper's heuristic polling scheme (§3.3,
 // §5.6): an independent thread polls the assigned QAT instances at a fixed
 // interval. Costs reproduced here: the interval bounds response latency from
-// below, and each wakeup steals CPU from the co-located worker.
+// below, and each wakeup steals CPU from the co-located worker. A worker
+// configured with the timer scheme owns one (server/worker.h).
+//
+// Each period sleeps first and then polls, and stop() wakes the sleep, so
+// an interval longer than a test's run retrieves nothing until the owner
+// polls by itself.
 #pragma once
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -28,10 +35,13 @@ class PollingThread {
   PollingThread& operator=(const PollingThread&) = delete;
 
   void stop() {
-    if (thread_.joinable()) {
-      stopping_.store(true, std::memory_order_release);
-      thread_.join();
+    if (!thread_.joinable()) return;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stopping_ = true;
     }
+    wake_.notify_one();
+    thread_.join();
   }
 
   uint64_t polls() const { return polls_.load(std::memory_order_relaxed); }
@@ -46,19 +56,23 @@ class PollingThread {
 
  private:
   void run() {
-    while (!stopping_.load(std::memory_order_acquire)) {
+    std::unique_lock<std::mutex> lock(mu_);
+    while (!wake_.wait_for(lock, interval_, [this] { return stopping_; })) {
+      lock.unlock();
       size_t got = 0;
       for (qat::CryptoInstance* inst : instances_) got += inst->poll();
       polls_.fetch_add(1, std::memory_order_relaxed);
       retrieved_.fetch_add(got, std::memory_order_relaxed);
       if (got == 0) ineffective_.fetch_add(1, std::memory_order_relaxed);
-      std::this_thread::sleep_for(interval_);
+      lock.lock();
     }
   }
 
   std::vector<qat::CryptoInstance*> instances_;
   std::chrono::microseconds interval_;
-  std::atomic<bool> stopping_{false};
+  std::mutex mu_;
+  std::condition_variable wake_;
+  bool stopping_ = false;  // guarded by mu_
   std::atomic<uint64_t> polls_{0};
   std::atomic<uint64_t> retrieved_{0};
   std::atomic<uint64_t> ineffective_{0};

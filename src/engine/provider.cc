@@ -1,41 +1,13 @@
 #include "engine/provider.h"
 
 #include "crypto/gcm.h"
-#include "obs/metrics.h"
 
 namespace qtls::engine {
 
-namespace {
-// TX data-plane copy meter — same counter names interned by tls/record.cc,
-// so every staging copy in the path lands in one place (DESIGN.md §11).
 obs::Counter& record_bytes_copied() {
   static obs::Counter c =
       obs::MetricsRegistry::global().counter("record.bytes_copied");
   return c;
-}
-}  // namespace
-
-Status CryptoProvider::cipher_seal_batch(const CbcHmacKeys& keys,
-                                         std::span<CipherSealJob> jobs) {
-  for (CipherSealJob& job : jobs) {
-    QTLS_ASSIGN_OR_RETURN(
-        Bytes sealed,
-        cipher_seal(keys, job.seq, job.header, job.iv, job.fragment));
-    record_bytes_copied().add(sealed.size());
-    append(*job.out, sealed);
-  }
-  return Status::ok();
-}
-
-Status CryptoProvider::aead_seal_batch(BytesView key,
-                                       std::span<AeadSealJob> jobs) {
-  for (AeadSealJob& job : jobs) {
-    QTLS_ASSIGN_OR_RETURN(Bytes sealed,
-                          aead_seal(key, job.nonce, job.aad, job.plaintext));
-    record_bytes_copied().add(sealed.size());
-    append(*job.out, sealed);
-  }
-  return Status::ok();
 }
 
 const EcCurve* prime_curve(CurveId id) {

@@ -22,6 +22,7 @@
 #include "crypto/ec2m.h"
 #include "crypto/kdf.h"
 #include "crypto/rsa.h"
+#include "obs/metrics.h"
 
 namespace qtls::engine {
 
@@ -89,13 +90,18 @@ class CryptoProvider {
                                   BytesView aad, BytesView ciphertext) = 0;
 
   // Batched record seal: seal every job, appending into job.out. The
-  // defaults loop the single-record virtuals (one result copy per record);
-  // the software provider seals straight into job.out and the QAT engine
+  // software provider seals straight into job.out and the QAT engine
   // submits the whole span as ONE device batch (qat submit_batch, §3.2).
   virtual Status cipher_seal_batch(const CbcHmacKeys& keys,
-                                   std::span<CipherSealJob> jobs);
-  virtual Status aead_seal_batch(BytesView key, std::span<AeadSealJob> jobs);
+                                   std::span<CipherSealJob> jobs) = 0;
+  virtual Status aead_seal_batch(BytesView key,
+                                 std::span<AeadSealJob> jobs) = 0;
 };
+
+// The TX copy meter's "record.bytes_copied" counter (DESIGN.md §11): every
+// staging copy on the TX path adds to it, in the record layer and where the
+// QAT engine appends a retrieved seal result into the output block.
+obs::Counter& record_bytes_copied();
 
 // Pure-CPU provider; also the fallback inside the QAT engine for algorithms
 // whose offload switch is off (ssl_engine `default_algorithm`).

@@ -36,15 +36,9 @@ uint64_t deadline_after_us(uint64_t us) {
   return us == 0 ? 0 : steady_now_ns() + us * 1'000ULL;
 }
 
-// TX copy meter shared with tls/record.cc and engine/provider.cc — the
-// engine appending a retrieved seal result into the output block is a
-// staging copy on the TX path (the input marshalling into the compute
-// closure models the device DMA and is deliberately not counted).
-obs::Counter& record_bytes_copied() {
-  static obs::Counter c =
-      obs::MetricsRegistry::global().counter("record.bytes_copied");
-  return c;
-}
+// Blocking-path retry backoff ceiling (base << attempt, capped here).
+constexpr uint64_t kRetryBackoffCapUs = 2'000;
+}  // namespace
 
 const char* breaker_name(BreakerState st) {
   switch (st) {
@@ -54,7 +48,6 @@ const char* breaker_name(BreakerState st) {
   }
   return "?";
 }
-}  // namespace
 
 // ----------------------------------------------------------- breaker ----
 
@@ -112,6 +105,8 @@ QatEngineProvider::QatEngineProvider(qat::DeviceTopology* topology,
       config_(config),
       fallback_(config.drbg_seed ^ 0x5a5a5a5aULL) {
   assert(!sets.empty());
+  // Lane choice between devices reads the topology's depths.
+  assert(topology_ != nullptr || sets.size() == 1);
   for (DeviceInstanceSet& set : sets) {
     assert(!set.instances.empty());
     auto lane = std::make_unique<DeviceLane>();
@@ -288,14 +283,11 @@ bool QatEngineProvider::try_probe_lane(DeviceLane& lane) {
 }
 
 size_t QatEngineProvider::lane_depth(const DeviceLane& lane) const {
-  // Device-wide depth when a topology is attached: spillover exists to shed
-  // CONTENTION, and contention on a shared card comes mostly from other
-  // workers' instances — a lane-local count can't see it. Standalone
-  // providers fall back to their own share of the queue.
-  if (topology_) return topology_->queue_depth(lane.device_id);
-  size_t depth = 0;
-  for (qat::CryptoInstance* inst : lane.instances) depth += inst->inflight();
-  return depth;
+  // Device-wide depth: spillover exists to shed CONTENTION, and contention
+  // on a shared card comes mostly from other workers' instances — a
+  // lane-local count can't see it. Only multi-lane providers get here, and
+  // those always carry a topology.
+  return topology_->queue_depth(lane.device_id);
 }
 
 QatEngineProvider::DeviceLane* QatEngineProvider::choose_lane(
@@ -338,9 +330,8 @@ QatEngineProvider::DeviceLane* QatEngineProvider::choose_lane(
     if (lane.device_id == preferred_device_) preferred = &lane;
   }
   if (preferred) {
-    const size_t spill =
-        topology_ ? topology_->spill_threshold() : static_cast<size_t>(64);
-    if (preferred == best || lane_depth(*preferred) <= best_depth + spill)
+    if (preferred == best ||
+        lane_depth(*preferred) <= best_depth + topology_->spill_threshold())
       return preferred;
     // Affine device too deep: spill to the shallowest healthy lane.
   }
@@ -465,7 +456,7 @@ void QatEngineProvider::submit_to_device(qat::OpKind kind,
     // resubmits immediately instead — it must not block the worker thread,
     // and the resubmission round-robins to another instance.
     std::this_thread::sleep_for(std::chrono::microseconds(
-        std::min(config_.retry_backoff_cap_us,
+        std::min(kRetryBackoffCapUs,
                  config_.retry_backoff_base_us << (attempts - 1))));
   }
 
@@ -965,7 +956,9 @@ Result<Bytes> QatEngineProvider::aead_open(BytesView key, BytesView nonce,
 
 namespace {
 // Appends each record's result to its output block in caller order; the
-// first failed record fails the batch.
+// first failed record fails the batch. The append is a metered staging copy
+// (the input marshalling into the compute closure models the device DMA
+// and is not counted).
 template <typename Job, typename Ops>
 Status append_sealed(std::span<Job> jobs, Ops& ops) {
   for (size_t i = 0; i < jobs.size(); ++i) {

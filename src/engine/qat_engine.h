@@ -67,11 +67,10 @@ struct QatEngineConfig {
   uint64_t op_deadline_us = 0;
   // Resubmissions after a transient device error before the op is terminal.
   int max_retries = 3;
-  // Blocking-path backoff between retries: base << attempt, capped.
-  // (The async path reschedules through the event loop instead of
+  // Blocking-path backoff between retries: base << attempt, capped at
+  // 2 ms. (The async path reschedules through the event loop instead of
   // sleeping — it must not block the worker thread.)
   uint64_t retry_backoff_base_us = 50;
-  uint64_t retry_backoff_cap_us = 2'000;
   // Circuit breaker: consecutive terminal failures per op class before the
   // class degrades to software, and how long it stays degraded before the
   // next op re-probes the device.
@@ -136,6 +135,8 @@ struct QatEngineStats {
 
 // Circuit-breaker state (observability + tests).
 enum class BreakerState : uint8_t { kClosed, kOpen, kHalfOpen };
+// "closed" | "open" | "half_open", as GET /stats spells it.
+const char* breaker_name(BreakerState state);
 
 // The circuit breaker behind every tier of the offload ladder: per op class
 // (QAT_Engine's sw-fallback switch), per device lane and for the remote
@@ -189,8 +190,9 @@ class QatEngineProvider : public CryptoProvider {
   // one lane, a lane whose device is offline, breaker-tripped or
   // queue-deep spills to the shallowest healthy lane, and device failures
   // migrate the retry to another device instead of burning the class
-  // breaker. `topology` is non-owning and may be null; when set, its online
-  // flag gates every lane.
+  // breaker. `topology` is non-owning and may be null only with a single
+  // lane; when set, its online flag gates every lane and its queue depths
+  // decide spillover.
   QatEngineProvider(qat::DeviceTopology* topology, int preferred_device,
                     std::vector<DeviceInstanceSet> sets,
                     QatEngineConfig config);

@@ -106,13 +106,14 @@ int TcpListener::accept_fd() {
   return fd;
 }
 
-Result<int> tcp_connect(uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (fd < 0) return err(Code::kIoError, std::strerror(errno));
+Result<int> tcp_connect(uint16_t port, const std::string& ipv4) {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   addr.sin_port = htons(port);
+  if (::inet_pton(AF_INET, ipv4.c_str(), &addr.sin_addr) != 1)
+    return err(Code::kInvalidArgument, "not an IPv4 literal: " + ipv4);
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  if (fd < 0) return err(Code::kIoError, std::strerror(errno));
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 &&
       errno != EINPROGRESS) {
     ::close(fd);

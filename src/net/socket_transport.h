@@ -50,9 +50,9 @@ class TcpListener {
   uint16_t port_ = 0;
 };
 
-// Non-blocking connect to 127.0.0.1:port; returns connected (or in-progress)
-// fd.
-Result<int> tcp_connect(uint16_t port);
+// Non-blocking connect to ipv4:port (an IPv4 literal, else
+// kInvalidArgument); returns the connected (or in-progress) fd.
+Result<int> tcp_connect(uint16_t port, const std::string& ipv4 = "127.0.0.1");
 
 // AF_UNIX socketpair with both ends non-blocking.
 Result<std::pair<int, int>> make_socketpair();

@@ -91,7 +91,6 @@ inline bool is_device_failure(CryptoStatus s) {
 struct CryptoResponse {
   uint64_t request_id = 0;
   OpKind kind = OpKind::kPrfTls12;
-  bool success = false;  // status == kSuccess (kept for existing callers)
   CryptoStatus status = CryptoStatus::kComputeError;
   void* user_tag = nullptr;
   // Lifecycle stamps copied from the request at service time (sampled

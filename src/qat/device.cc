@@ -262,7 +262,6 @@ void QatEndpoint::serve(EngineSlot& slot, CryptoRequest& req,
       break;
     }
   }
-  response.success = response.status == CryptoStatus::kSuccess;
   if (req.trace.sampled) {
     obs::stamp_now(req.trace, obs::Stage::kServiceDone);
     response.trace = req.trace;

@@ -11,7 +11,8 @@
 //  have nothing left to do.
 //
 //  Failover: if no heuristic poll triggered within an interval while
-//  requests are in flight, force one (paper §4.3's 5 ms timer).
+//  requests are in flight, force one (paper §4.3's 5 ms timer). The
+//  interval starts when ops go in flight, not at the last poll before.
 //
 //  Wake: the loop has nothing left to do but ops are in flight, so it arms
 //  the engine's wakeup and sleeps in epoll (DESIGN.md §5). The engine's
@@ -70,9 +71,17 @@ class HeuristicPoller {
     return 0;
   }
 
-  // Failover check, called from a coarse timer (§4.3).
+  // Failover check, called from a coarse timer (§4.3). The first check
+  // that finds ops in flight after none were starts the interval.
   size_t failover_poll(uint64_t now_ms) {
-    if (engine_->inflight_total() == 0) return 0;
+    if (engine_->inflight_total() == 0) {
+      in_flight_ = false;
+      return 0;
+    }
+    if (!in_flight_) {
+      in_flight_ = true;
+      last_poll_ms_ = now_ms;
+    }
     if (now_ms - last_poll_ms_ < config_.failover_interval_ms) return 0;
     ++stats_.failover_triggers;
     return do_poll(now_ms);
@@ -116,7 +125,8 @@ class HeuristicPoller {
   engine::QatEngineProvider* engine_;
   HeuristicPollerConfig config_;
   HeuristicPollerStats stats_;
-  uint64_t last_poll_ms_ = 0;
+  uint64_t last_poll_ms_ = 0;  // last poll, or when ops went in flight
+  bool in_flight_ = false;     // the last failover check found ops
 };
 
 }  // namespace qtls::server

@@ -1,5 +1,7 @@
 #include "server/ssl_engine_conf.h"
 
+#include <arpa/inet.h>
+
 #include <algorithm>
 #include <cstdlib>
 
@@ -161,7 +163,6 @@ Result<SslEngineSettings> parse_ssl_engine_settings(const ConfBlock& root) {
   const std::string use = engine_block->get_string("use");
   if (use != "qat_engine" && !use.empty())
     return err(Code::kInvalidArgument, "unknown engine: " + use);
-  out.use_qat = use == "qat_engine";
 
   const auto algs = engine_block->get_list("default_algorithm");
   if (!algs.empty()) {
@@ -179,7 +180,7 @@ Result<SslEngineSettings> parse_ssl_engine_settings(const ConfBlock& root) {
     const int64_t devices = topo->get_int("devices", 1);
     if (devices < 1 || devices > 64)
       return err(Code::kInvalidArgument, "qat_topology devices out of range");
-    out.topology.devices = static_cast<int>(devices);
+    out.topology.num_devices = static_cast<int>(devices);
 
     const int64_t nodes = topo->get_int("numa_nodes", 1);
     if (nodes < 1 || nodes > 16)
@@ -196,7 +197,7 @@ Result<SslEngineSettings> parse_ssl_engine_settings(const ConfBlock& root) {
     for (const std::string& tok : topo->get_list("worker_affinity")) {
       char* end = nullptr;
       const long dev = std::strtol(tok.c_str(), &end, 10);
-      if (!end || *end != '\0' || dev < 0 || dev >= out.topology.devices)
+      if (!end || *end != '\0' || dev < 0 || dev >= out.topology.num_devices)
         return err(Code::kInvalidArgument,
                    "qat_topology worker_affinity entry out of range: " + tok);
       out.topology.worker_affinity.push_back(static_cast<int>(dev));
@@ -215,7 +216,13 @@ Result<SslEngineSettings> parse_ssl_engine_settings(const ConfBlock& root) {
                  "bad remote_offload enable: " + enable);
     }
 
+    // The dial takes an IPv4 literal; a name would need a resolver.
     out.remote.host = ro->get_string("host", out.remote.host);
+    in_addr addr{};
+    if (::inet_pton(AF_INET, out.remote.host.c_str(), &addr) != 1)
+      return err(Code::kInvalidArgument,
+                 "remote_offload host is not an IPv4 literal: " +
+                     out.remote.host);
 
     const int64_t port = ro->get_int("port", 0);
     if (port < 0 || port > 65535)
@@ -297,8 +304,11 @@ Result<SslEngineSettings> parse_ssl_engine_settings(const ConfBlock& root) {
     return err(Code::kInvalidArgument, "bad qat_poll_mode: " + poll);
   }
 
-  out.timer_interval = std::chrono::microseconds(
-      qat->get_int("qat_timer_poll_interval", 10));
+  const int64_t interval =
+      qat->get_int("qat_timer_poll_interval", out.timer_interval.count());
+  if (interval < 1)
+    return err(Code::kInvalidArgument, "qat_timer_poll_interval < 1");
+  out.timer_interval = std::chrono::microseconds(interval);
   out.heuristic.asym_threshold = static_cast<size_t>(
       qat->get_int("qat_heuristic_poll_asym_threshold", 48));
   out.heuristic.sym_threshold = static_cast<size_t>(
@@ -310,6 +320,13 @@ Result<SslEngineSettings> parse_ssl_engine_settings(const ConfBlock& root) {
       out.poll == PollScheme::kTimer) {
     return err(Code::kInvalidArgument,
                "kernel-bypass notification requires heuristic/inline polling");
+  }
+  // Inline polling is the blocking self-poll of straight offload: a parked
+  // async op would wait for a poll that never comes.
+  if (out.engine.offload_mode == engine::OffloadMode::kAsync &&
+      out.poll == PollScheme::kInline) {
+    return err(Code::kInvalidArgument,
+               "async offload requires heuristic/timer polling");
   }
   return out;
 }

@@ -1,43 +1,53 @@
 // The SSL Engine Framework of the paper's Appendix A.7: accelerator
-// behaviour configured directly from an nginx-style conf file —
+// behaviour configured directly from an nginx-style conf file. Each key
+// has one type from parse to use; server::pool_options_from() maps the
+// parsed settings onto a WorkerPool, and the comment beside each key names
+// where it lands (W = WorkerConfig, E = engine::QatEngineConfig, P =
+// WorkerPoolOptions, T = qat::TopologyConfig).
 //
-//   worker_processes 8;
+//   worker_processes 8;                    # P.workers
 //   ssl_engine {
-//       use qat_engine;
+//       use qat_engine;                    # checked: the only engine
 //       default_algorithm RSA,EC,DH,PKEY_CRYPTO;
+//                                          # E.offload_{rsa,ec,prf,cipher}
 //       qat_engine {
-//           qat_offload_mode async;        # async | sync
-//           qat_notify_mode poll;          # poll (kernel-bypass) | fd
-//           qat_poll_mode heuristic;       # heuristic | timer | inline
-//           qat_timer_poll_interval 10;    # microseconds, timer mode
-//           qat_heuristic_poll_asym_threshold 48;
-//           qat_heuristic_poll_sym_threshold 24;
+//           qat_offload_mode async;        # E.offload_mode and
+//                                          # TlsContextConfig::async_mode
+//           qat_notify_mode poll;          # W.notify: poll | fd
+//           qat_poll_mode heuristic;       # W.poll: heuristic | timer |
+//                                          # inline (inline needs sync)
+//           qat_timer_poll_interval 10;    # W.timer_interval, microseconds:
+//                                          # the worker's PollingThread
+//           qat_heuristic_poll_asym_threshold 48;  # W.heuristic
+//           qat_heuristic_poll_sym_threshold 24;   # W.heuristic
 //       }
-//       qat_topology {                     # multi-device fleet (DESIGN §12)
-//           devices 4;                     # logical QAT devices
-//           numa_nodes 2;                  # device i sits on node i % nodes
-//           spill_threshold 32;            # queue-depth spillover margin
-//           worker_affinity 0,1,0,1;       # optional explicit worker->device
-//       }                                  # map (overrides NUMA striping)
-//       remote_offload {                   # disaggregated tier (DESIGN §13)
+//       qat_topology {                     # T, the DeviceTopology (DESIGN §12)
+//           devices 4;                     # T.num_devices
+//           numa_nodes 2;                  # T.numa_nodes: device i sits on
+//                                          # node i % nodes
+//           spill_threshold 32;            # T.spill_threshold
+//           worker_affinity 0,1,0,1;       # T.worker_affinity: explicit
+//       }                                  # worker->device map (overrides
+//                                          # NUMA striping)
+//       remote_offload {                   # P.remote: each worker's channel
 //           enable on;                     # QAT -> remote -> software ladder
-//           host 127.0.0.1;                # offload server address
-//           port 7433;
-//           max_batch 32;                  # ops coalesced per RPC frame
-//           coalesce_window_us 50;         # flush latency bound
-//           op_deadline_us 20000;          # per-op remote budget
-//           breaker_threshold 4;           # remote-tier circuit breaker
-//           breaker_cooldown_ms 200;
+//           host 127.0.0.1;                # the dial: an IPv4 literal
+//           port 7433;                     # the dial
+//           max_batch 32;                  # RemoteChannelConfig: ops per frame
+//           coalesce_window_us 50;         # RemoteChannelConfig: flush bound
+//           op_deadline_us 20000;          # E.remote_op_deadline_us
+//           breaker_threshold 4;           # E.remote_breaker_threshold
+//           breaker_cooldown_ms 200;       # E.remote_breaker_cooldown_ms
 //       }
 //   }
-//   session_cache {
-//       shards 16;                         # sharded cross-worker cache
-//       capacity 10000;
-//       lifetime_ms 3600000;
+//   session_cache {                        # P.session: the pool's one
+//       shards 16;                         # SessionPlane, kept as is across
+//       capacity 10000;                    # reloads (a reshape needs a
+//       lifetime_ms 3600000;               # restart)
 //       ticket_rotate_interval_ms 900000;  # ticket-key epoch length
 //       ticket_accept_epochs 1;            # current + N previous keys
 //   }
-//   overload {
+//   overload {                             # W.overload (reloadable)
 //       handshake_timeout_ms 5000;         # accept -> handshake complete
 //       idle_timeout_ms 30000;             # keepalive / request trickle
 //       write_stall_timeout_ms 10000;      # slowloris response readers
@@ -45,30 +55,29 @@
 //       max_async_inflight 1024;           # in-flight engine ops per worker
 //       past_cap shed;                     # shed | park
 //       park_backlog 64;                   # bounded accept backlog (park)
-//       max_header_bytes 8192;             # HTTP parser bounds (431 past)
-//       max_header_count 100;
+//       max_header_bytes 8192;             # W.http_limits (431 past them)
+//       max_header_count 100;              # W.http_limits
 //   }
 //   http {
-//       file_root /srv/www;                # static-file streaming root
-//   }                                      # (DESIGN.md §11); empty = the
-//                                          # synthetic benchmark object
-//   control {                              # self-healing plane (DESIGN §15)
+//       file_root /srv/www;                # W.file_root (DESIGN.md §11);
+//   }                                      # empty = the synthetic object
+//   control {                              # ControlPlane (DESIGN §15)
 //       heartbeat_interval_ms 100;         # supervision window
 //       missed_windows 5;                  # frozen windows before "wedged"
 //       eject_grace_ms 500;                # wait for an ejected thread
 //       supervise on;                      # run the supervisor thread
 //   }
-//   credentials {                          # resolved against the keystore
-//       rsa 2048;                          # 2048 | 1024 (reload swaps key)
-//   }
+//   credentials {                          # ControlPlane's resolver ->
+//       rsa 2048;                          # TlsContext::set_credentials
+//   }                                      # (2048 | 1024; reload swaps key)
 #pragma once
 
 #include <chrono>
 #include <string>
-#include <vector>
 
 #include "common/conf.h"
 #include "engine/qat_engine.h"
+#include "qat/topology.h"
 #include "server/heuristic_poller.h"
 #include "server/http.h"
 #include "server/overload.h"
@@ -85,18 +94,6 @@ enum class PollScheme : uint8_t {
   kHeuristic,  // §4.3
   kTimer,      // external timer-based polling thread
   kInline,     // blocking self-poll (straight offload / QAT+S)
-};
-
-// The qat_topology{} block: how many logical devices the box carries, how
-// they spread over NUMA nodes, and how workers bind to them. Each key maps
-// onto qat::TopologyConfig; an explicit worker_affinity list (worker w ->
-// device affinity[w % len]) overrides the default NUMA striping in
-// DeviceTopology::preferred_device().
-struct TopologySettings {
-  int devices = 1;
-  int numa_nodes = 1;
-  size_t spill_threshold = 32;
-  std::vector<int> worker_affinity;  // empty = NUMA striping
 };
 
 // The remote_offload{} block: the disaggregated offload tier (DESIGN.md
@@ -127,15 +124,15 @@ struct ControlSettings {
 
 struct SslEngineSettings {
   int worker_processes = 1;
-  bool use_qat = false;
   engine::QatEngineConfig engine;
-  // Multi-device topology (qat_topology{} block; DESIGN.md §12).
-  TopologySettings topology;
+  // Multi-device topology (qat_topology{} block; DESIGN.md §12): the
+  // caller builds its qat::DeviceTopology from this.
+  qat::TopologyConfig topology;
   // Remote offload tier (remote_offload{} block; DESIGN.md §13).
   RemoteOffloadSettings remote;
   NotifyScheme notify = NotifyScheme::kKernelBypass;
   PollScheme poll = PollScheme::kHeuristic;
-  std::chrono::microseconds timer_interval{10};
+  std::chrono::microseconds timer_interval{10};  // kTimer's polling period
   HeuristicPollerConfig heuristic;
   // The shared resumption plane (session_cache{} block).
   tls::SessionPlaneConfig session;

@@ -95,6 +95,9 @@ Worker::Worker(tls::TlsContext* tls_ctx, engine::QatEngineProvider* qat,
       }
     }
   }
+  if (qat_ && config_.poll == PollScheme::kTimer)
+    timer_poller_ = std::make_unique<engine::PollingThread>(
+        qat_->instances(), config_.timer_interval);
   if (config_.clock) loop_.set_clock(config_.clock);
   response_body_.resize(config_.response_body_size);
   for (size_t i = 0; i < response_body_.size(); ++i)
@@ -102,6 +105,8 @@ Worker::Worker(tls::TlsContext* tls_ctx, engine::QatEngineProvider* qat,
 }
 
 Worker::~Worker() {
+  // The polling thread stops first: from here on only this thread polls.
+  timer_poller_.reset();
   // No fiber may outlive its connection: run every paused offload job to
   // completion before the connections are destroyed.
   for (auto& [fd, conn] : conns_) {
@@ -743,17 +748,6 @@ size_t Worker::released_scratch_connections() const {
   return n;
 }
 
-namespace {
-const char* breaker_name(engine::BreakerState s) {
-  switch (s) {
-    case engine::BreakerState::kClosed: return "closed";
-    case engine::BreakerState::kOpen: return "open";
-    case engine::BreakerState::kHalfOpen: return "half_open";
-  }
-  return "?";
-}
-}  // namespace
-
 std::string Worker::stats_json() const {
   std::ostringstream os;
   os << "{\"worker\":{"
@@ -815,7 +809,8 @@ std::string Worker::stats_json() const {
     for (int c = 0; c < qat::kNumOpClasses; ++c) {
       os << (c ? "," : "") << '"'
          << qat::op_class_name(static_cast<qat::OpClass>(c)) << "\":\""
-         << breaker_name(qat_->breaker_state(static_cast<qat::OpClass>(c)))
+         << engine::breaker_name(
+                qat_->breaker_state(static_cast<qat::OpClass>(c)))
          << '"';
     }
     os << "}}";

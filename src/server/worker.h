@@ -8,7 +8,8 @@
 //  * notification: kernel-bypass async queue drained at the end of each
 //    loop iteration, or eventfd through epoll;
 //  * heuristic polling hooks wherever ops are submitted or TC_active moves,
-//    plus the failover timer;
+//    plus the failover timer — or, with the timer scheme, the worker's own
+//    polling thread over its engine's instances;
 //  * with nothing left to do but ops in flight, a sleep in epoll until the
 //    engine's wakeup eventfd fires (DESIGN.md §5) instead of a spin;
 //  * stub_status-style accounting: TC_active = TC_alive - TC_idle.
@@ -19,6 +20,7 @@
 #include <unordered_map>
 
 #include "common/slab.h"
+#include "engine/polling_thread.h"
 #include "net/event_loop.h"
 #include "net/socket_transport.h"
 #include "server/async_queue.h"
@@ -57,6 +59,8 @@ struct WorkerHeartbeat {
 struct WorkerConfig {
   NotifyScheme notify = NotifyScheme::kKernelBypass;
   PollScheme poll = PollScheme::kHeuristic;
+  // kTimer: the period of the worker's own polling thread.
+  std::chrono::microseconds timer_interval{10};
   HeuristicPollerConfig heuristic;
   size_t response_body_size = 1024;  // the served "file"
   // Static-file root (DESIGN.md §11). When non-empty, GETs other than
@@ -288,6 +292,8 @@ class Worker {
 
   AsyncEventQueue async_queue_;
   std::unique_ptr<HeuristicPoller> poller_;
+  // kTimer: the external thread that retrieves the engine's responses.
+  std::unique_ptr<engine::PollingThread> timer_poller_;
   bool wakeup_armed_ = false;  // this pass sleeps on the engine's wakeup
   Bytes response_body_;
   WorkerStats stats_;

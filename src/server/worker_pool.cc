@@ -22,7 +22,7 @@ namespace {
 // runs the classic two-tier ladder.
 std::unique_ptr<remote::RemoteChannel> dial_remote(
     const RemoteOffloadSettings& ro) {
-  Result<int> fd = net::tcp_connect(ro.port);
+  Result<int> fd = net::tcp_connect(ro.port, ro.host);
   if (!fd.is_ok()) {
     QTLS_WARN << "remote offload dial failed: " << fd.status().message();
     return nullptr;
@@ -30,7 +30,7 @@ std::unique_ptr<remote::RemoteChannel> dial_remote(
   struct pollfd pfd{fd.value(), POLLOUT, 0};
   if (::poll(&pfd, 1, /*timeout_ms=*/100) <= 0 ||
       (pfd.revents & (POLLERR | POLLHUP))) {
-    QTLS_WARN << "remote offload connect to port " << ro.port
+    QTLS_WARN << "remote offload connect to " << ro.host << ':' << ro.port
               << " did not complete";
     ::close(fd.value());
     return nullptr;
@@ -62,6 +62,25 @@ bool remote_settings_equal(const RemoteOffloadSettings& a,
 }
 
 }  // namespace
+
+WorkerPoolOptions pool_options_from(const SslEngineSettings& settings) {
+  WorkerPoolOptions options;
+  options.workers = settings.worker_processes;
+  options.engine_config = settings.engine;
+  options.remote = settings.remote;
+  options.session = settings.session;
+  options.tls_config.async_mode =
+      settings.engine.offload_mode == engine::OffloadMode::kAsync;
+  WorkerConfig& w = options.worker_config;
+  w.notify = settings.notify;
+  w.poll = settings.poll;
+  w.timer_interval = settings.timer_interval;
+  w.heuristic = settings.heuristic;
+  w.overload = settings.overload;
+  w.http_limits = settings.http_limits;
+  w.file_root = settings.file_root;
+  return options;
+}
 
 WorkerPool::WorkerPool(qat::DeviceTopology* topology,
                        const RsaPrivateKey* rsa_key, WorkerPoolOptions options)
@@ -120,7 +139,6 @@ Status WorkerPool::build_cell_engine_ctx(int i, Cell* cell) {
 // accept share survive a recovery.
 Status WorkerPool::build_cell_worker(int i, Cell* cell, uint16_t port) {
   WorkerConfig wcfg = options_.worker_config;
-  wcfg.response_body_size = options_.response_body_size;
   // Reload rebinds of the remote tier run ON the worker's own thread (the
   // engine's backend pointer is not atomic); the pool arbitrates via
   // cells_mu_ and a thread-identity check.
@@ -162,20 +180,10 @@ void WorkerPool::spawn_cell_thread(Cell* cell) {
 Status WorkerPool::start(uint16_t port) {
   if (started_) return err(Code::kFailedPrecondition, "already started");
 
-  // One resumption plane for the whole pool, seeded from the BASE config
-  // seed (per-worker contexts get perturbed seeds below, which is exactly
-  // why per-context ticket keys could never unseal across workers).
-  {
-    tls::SessionPlaneConfig pcfg;
-    pcfg.cache_shards = options_.tls_config.session_cache_shards;
-    pcfg.cache_capacity = options_.tls_config.session_cache_capacity;
-    pcfg.lifetime_ms = options_.tls_config.session_lifetime_ms;
-    pcfg.ticket_rotate_interval_ms =
-        options_.tls_config.ticket_rotate_interval_ms;
-    pcfg.ticket_accept_epochs = options_.tls_config.ticket_accept_epochs;
-    pcfg.seed = options_.tls_config.drbg_seed;
-    session_plane_ = std::make_unique<tls::SessionPlane>(pcfg);
-  }
+  // One resumption plane for the whole pool, seeded once (per-worker
+  // contexts get perturbed seeds below, which is exactly why per-context
+  // ticket keys could never unseal across workers).
+  session_plane_ = std::make_unique<tls::SessionPlane>(options_.session);
 
   for (int i = 0; i < options_.workers; ++i) {
     auto cell = std::make_unique<Cell>();

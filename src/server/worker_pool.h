@@ -31,8 +31,16 @@ struct WorkerPoolOptions {
   // inline software. A failed dial logs and degrades to the two-tier
   // ladder rather than failing pool start.
   RemoteOffloadSettings remote;
-  size_t response_body_size = 1024;
+  // The shape and seed of the pool's one resumption plane (DESIGN.md §9).
+  tls::SessionPlaneConfig session;
 };
+
+// The conf-to-pool mapping, the one place each conf setting lands on a
+// pool: worker count, engine, remote tier, session plane, the async switch
+// and the worker fields the conf names. The caller adds what the conf does
+// not say (cipher suites, the response body size, the control pointer) and
+// builds its qat::DeviceTopology from `settings.topology`.
+WorkerPoolOptions pool_options_from(const SslEngineSettings& settings);
 
 struct WorkerPoolStats {
   WorkerStats totals;

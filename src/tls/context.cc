@@ -18,17 +18,6 @@ uint64_t steady_now_ms() {
       duration_cast<milliseconds>(steady_clock::now().time_since_epoch())
           .count());
 }
-
-SessionPlaneConfig plane_config_of(const TlsContextConfig& config) {
-  SessionPlaneConfig plane;
-  plane.cache_shards = config.session_cache_shards;
-  plane.cache_capacity = config.session_cache_capacity;
-  plane.lifetime_ms = config.session_lifetime_ms;
-  plane.ticket_rotate_interval_ms = config.ticket_rotate_interval_ms;
-  plane.ticket_accept_epochs = config.ticket_accept_epochs;
-  plane.seed = config.drbg_seed;
-  return plane;
-}
 }  // namespace
 
 TlsContext::TlsContext(TlsContextConfig config,
@@ -36,7 +25,8 @@ TlsContext::TlsContext(TlsContextConfig config,
     : config_(std::move(config)),
       provider_(provider),
       creds_(std::make_shared<ServerCredentials>()),
-      owned_plane_(std::make_unique<SessionPlane>(plane_config_of(config_))),
+      owned_plane_(std::make_unique<SessionPlane>(
+          SessionPlaneConfig{.seed = config_.drbg_seed})),
       plane_(owned_plane_.get()),
       rng_(HashAlg::kSha256, seed_bytes(config_.drbg_seed, "ctx-rng")),
       clock_(steady_now_ms) {}

@@ -35,13 +35,7 @@ struct TlsContextConfig {
   CurveId curve = CurveId::kP256;
   // Server: issue session tickets (else session-ID cache only).
   bool use_session_tickets = false;
-  uint64_t session_lifetime_ms = 3'600'000;
-  // Resumption-plane shape (used when the context builds its own plane; a
-  // pool-shared plane is configured by the pool instead).
-  size_t session_cache_shards = 16;
-  size_t session_cache_capacity = 10'000;
-  uint64_t ticket_rotate_interval_ms = 900'000;
-  uint32_t ticket_accept_epochs = 1;
+  // Seeds the context's rng and its private plane's ticket keys.
   uint64_t drbg_seed = 0x746c73637478ULL;
 };
 
@@ -73,9 +67,10 @@ class TlsContext {
     return creds_;
   }
 
-  // Resumption plane: private by default, pool-shared after
-  // set_session_plane(). The caller must keep a shared plane alive for the
-  // lifetime of every context pointed at it.
+  // Resumption plane: a private SessionPlaneConfig{} plane seeded from
+  // drbg_seed by default; another shape or a pool-shared plane comes in
+  // through set_session_plane(). The caller must keep that plane alive for
+  // the lifetime of every context pointed at it.
   SessionPlane& session_plane() { return *plane_; }
   const SessionPlane& session_plane() const { return *plane_; }
   void set_session_plane(SessionPlane* plane) {

@@ -22,21 +22,12 @@ constexpr int kMaxFlushIov = 64;
 constexpr size_t kRecvCompactThreshold = 16 * 1024;
 constexpr size_t kReadChunk = 4096;
 
-// Process-wide TX data-plane meters (DESIGN.md §11). The same names are
-// interned by engine/provider.cc and engine/qat_engine.cc, so every staging
-// copy in the path lands in one counter.
-struct RecordObsCounters {
-  obs::Counter bytes_copied, bytes_sent;
-  RecordObsCounters() {
-    auto& reg = obs::MetricsRegistry::global();
-    bytes_copied = reg.counter("record.bytes_copied");
-    bytes_sent = reg.counter("record.bytes_sent");
-  }
-};
-
-RecordObsCounters& obs_counters() {
-  static RecordObsCounters counters;
-  return counters;
+// Process-wide TX data-plane meter (DESIGN.md §11): bytes handed to the
+// transport, the denominator of engine::record_bytes_copied().
+obs::Counter& record_bytes_sent() {
+  static obs::Counter c =
+      obs::MetricsRegistry::global().counter("record.bytes_sent");
+  return c;
 }
 }  // namespace
 
@@ -46,7 +37,7 @@ RecordLayer::RecordLayer(Transport* transport,
 
 void RecordLayer::count_copy(size_t n) {
   bytes_copied_ += n;
-  obs_counters().bytes_copied.add(n);
+  engine::record_bytes_copied().add(n);
 }
 
 void RecordLayer::note_staging_copy(size_t n) { count_copy(n); }
@@ -190,7 +181,7 @@ TlsResult RecordLayer::flush() {
     switch (io.status) {
       case IoStatus::kOk: {
         bytes_sent_ += io.bytes;
-        obs_counters().bytes_sent.add(io.bytes);
+        record_bytes_sent().add(io.bytes);
         size_t consumed = io.bytes;
         while (!send_chain_.empty()) {
           TxBlock& front = send_chain_.front();

@@ -199,6 +199,29 @@ TEST(ControlPlane, SessionPlaneShapePreservedAcrossReload) {
   EXPECT_EQ(control.stats().plane_changes_ignored, 1u);
 }
 
+// The plane the reload rule preserves is the one the first conf shaped: a
+// pool built from that conf runs its session_cache{} block, and a later
+// reshape is counted and ignored rather than reaching the live plane.
+TEST(ControlPool, ReloadKeepsTheConfShapedPlane) {
+  ControlPlane control;
+  ASSERT_TRUE(control.load(conf_text(2048, 4, 100, 256, "shed")).is_ok());
+  qat::DeviceTopology topo(control.current()->settings.topology);
+  WorkerPoolOptions options = pool_options_from(control.current()->settings);
+  options.worker_config.control = &control;
+  WorkerPool pool(&topo, &test_rsa2048(), options);
+  ASSERT_TRUE(pool.start(0).is_ok());
+  control.attach(&pool);
+  EXPECT_EQ(pool.session_plane().config().cache_shards, 4u);
+  EXPECT_EQ(pool.session_plane().config().cache_capacity, 512u);
+
+  ASSERT_TRUE(control.load(conf_text(2048, 8, 100, 256, "shed")).is_ok());
+  EXPECT_EQ(control.stats().plane_changes_ignored, 1u);
+  EXPECT_EQ(control.current()->settings.session.cache_shards, 4u);
+  EXPECT_EQ(pool.session_plane().config().cache_shards, 4u);
+  EXPECT_EQ(pool.session_plane().cache().shards(), 4u);
+  pool.stop();
+}
+
 // -------------------------------------------------------- worker plumbing ----
 
 TEST(ControlWorker, AppliesGenerationServesHealthAndReload) {
@@ -301,9 +324,7 @@ TEST(ControlPool, ReloadUnderChurnKeepsResumptionPerfect) {
   ControlPlane control;  // auto_recover on: churn must not look like a wedge
   ASSERT_TRUE(control.load(conf_text(2048, 4, 100, 4, "park")).is_ok());
 
-  WorkerPoolOptions options;
-  options.workers = 2;
-  options.tls_config.async_mode = true;
+  WorkerPoolOptions options = pool_options_from(control.current()->settings);
   options.tls_config.use_session_tickets = true;
   options.tls_config.cipher_suites = {
       tls::CipherSuite::kEcdheRsaWithAes128CbcSha};
@@ -406,6 +427,7 @@ TEST(ControlPool, ReloadUnderChurnKeepsResumptionPerfect) {
   EXPECT_EQ(cs.reloads, 5u);
   EXPECT_EQ(cs.reload_failures, 0u);
   EXPECT_GE(cs.plane_changes_ignored, 1u);
+  EXPECT_EQ(pool.session_plane().config().cache_shards, 4u);
   EXPECT_EQ(cs.wedge_events, 0u);
   EXPECT_EQ(pool.total_worker_restarts(), 0u);
 

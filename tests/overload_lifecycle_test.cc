@@ -141,9 +141,10 @@ TEST(Slowloris, HalfOpenHandshakeClosedAtDeadline) {
 }
 
 TEST(Slowloris, AsyncParkedHandshakeTimeoutReclaimsSlotAndCapSheds) {
-  // QAT worker with kTimer polling but no polling thread: an offloaded op
-  // stays in flight until someone polls, which freezes the handshake at the
-  // park — the async flavour of a half-open connection.
+  // QAT worker whose timer-scheme polling thread sleeps an hour between
+  // polls: an offloaded op stays in flight until someone polls, which
+  // freezes the handshake at the park — the async flavour of a half-open
+  // connection. The worker stops the thread without waiting out the hour.
   qat::QatDevice device;
   engine::QatEngineConfig qcfg;
   engine::QatEngineProvider qat(device.allocate_instance(), qcfg);
@@ -165,6 +166,7 @@ TEST(Slowloris, AsyncParkedHandshakeTimeoutReclaimsSlotAndCapSheds) {
   uint64_t vnow = 1000;
   WorkerConfig wcfg;
   wcfg.poll = PollScheme::kTimer;  // nobody polls: parks never resume
+  wcfg.timer_interval = std::chrono::hours(1);
   wcfg.overload.handshake_timeout_ms = 3000;
   wcfg.overload.max_async_inflight = 1;
   wcfg.clock = [&vnow] { return vnow; };

@@ -29,7 +29,7 @@ CryptoRequest simple_request(uint64_t id, OpKind kind,
     return true;
   };
   req.on_response = [responded](const CryptoResponse& r) {
-    EXPECT_TRUE(r.success);
+    EXPECT_EQ(r.status, CryptoStatus::kSuccess);
     responded->fetch_add(1);
   };
   return req;
@@ -193,7 +193,7 @@ TEST(QatDevice, FailedComputeReportsFailure) {
   req.kind = OpKind::kPrfTls12;
   req.compute = [] { return false; };
   req.on_response = [&](const CryptoResponse& r) {
-    success.store(r.success);
+    success.store(r.status == CryptoStatus::kSuccess);
     responded.fetch_add(1);
   };
   ASSERT_TRUE(inst->submit(req));

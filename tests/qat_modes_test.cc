@@ -27,7 +27,7 @@ TEST(InterruptDelivery, CallbackFiresWithoutPolling) {
   req.kind = qat::OpKind::kPrfTls12;
   req.compute = [] { return true; };
   req.on_response = [&delivered](const qat::CryptoResponse& r) {
-    EXPECT_TRUE(r.success);
+    EXPECT_EQ(r.status, qat::CryptoStatus::kSuccess);
     delivered.fetch_add(1);
   };
   ASSERT_TRUE(inst->submit(req));

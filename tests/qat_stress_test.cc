@@ -27,7 +27,7 @@ CryptoRequest counting_request(uint64_t id, std::atomic<int>* computed,
     return true;
   };
   req.on_response = [responded](const CryptoResponse& r) {
-    EXPECT_TRUE(r.success);
+    EXPECT_EQ(r.status, CryptoStatus::kSuccess);
     responded->fetch_add(1, std::memory_order_relaxed);
   };
   return req;

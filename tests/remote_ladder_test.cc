@@ -18,9 +18,12 @@
 #include "qat/device.h"
 #include "qat/fault.h"
 #include "qat/topology.h"
+#include "crypto/keystore.h"
 #include "remote/channel.h"
+#include "remote/offload_server.h"
 #include "remote_test_util.h"
 #include "server/ssl_engine_conf.h"
+#include "server/worker_pool.h"
 
 namespace qtls {
 namespace {
@@ -306,10 +309,39 @@ TEST(RemoteOffloadConf, RejectsBadValues) {
     ssl_engine { remote_offload { enable on; port 7433;
                                   breaker_threshold 0; } }
   )").is_ok());
+  // The dial takes an IPv4 literal, not a name.
+  EXPECT_FALSE(server::parse_ssl_engine_settings(R"(
+    ssl_engine { remote_offload { enable on; host localhost; port 7433; } }
+  )").is_ok());
   // A disabled block with sane values still parses.
   EXPECT_TRUE(server::parse_ssl_engine_settings(R"(
     ssl_engine { remote_offload { enable off; port 7433; } }
   )").is_ok());
+}
+
+// A pool built from the conf dials the configured host. The offload
+// server listens on 127.0.0.1 only, so a pool told 127.0.0.2 (also
+// loopback) finds nobody there and keeps the two-tier ladder.
+TEST(RemoteOffloadConf, HostReachesTheDial) {
+  remote::OffloadServer offload;
+  ASSERT_TRUE(offload.start(0).is_ok());
+  auto attaches = [&](const std::string& host) {
+    auto settings = server::parse_ssl_engine_settings(
+        "worker_processes 1;\n"
+        "ssl_engine { use qat_engine;\n"
+        "  remote_offload { enable on; host " + host + "; port " +
+        std::to_string(offload.port()) + "; }\n}\n");
+    EXPECT_TRUE(settings.is_ok()) << settings.status().message();
+    qat::DeviceTopology topo(settings.value().topology);
+    server::WorkerPool pool(&topo, &test_rsa2048(),
+                            server::pool_options_from(settings.value()));
+    EXPECT_TRUE(pool.start(0).is_ok());
+    const bool attached = pool.engine(0)->remote_backend() != nullptr;
+    pool.stop();
+    return attached;
+  };
+  EXPECT_FALSE(attaches("127.0.0.2"));
+  EXPECT_TRUE(attaches("127.0.0.1"));
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "crypto/keystore.h"
-#include "engine/polling_thread.h"
 #include <thread>
 
 #include "server_test_util.h"
@@ -150,7 +149,6 @@ TEST(SslEngineConf, ParsesPaperExample) {
   ASSERT_TRUE(settings.is_ok()) << settings.status().to_string();
   const SslEngineSettings& s = settings.value();
   EXPECT_EQ(s.worker_processes, 8);
-  EXPECT_TRUE(s.use_qat);
   EXPECT_EQ(s.engine.offload_mode, engine::OffloadMode::kAsync);
   EXPECT_TRUE(s.engine.offload_rsa);
   EXPECT_TRUE(s.engine.offload_ec);
@@ -183,6 +181,27 @@ TEST(SslEngineConf, RejectsInvalidCombos) {
   EXPECT_FALSE(parse_ssl_engine_settings(
                    "ssl_engine { qat_engine { qat_offload_mode magic; } }")
                    .is_ok());
+  // Inline polling never retrieves a parked async op; straight offload
+  // polls inline by itself.
+  EXPECT_FALSE(parse_ssl_engine_settings(R"(
+    ssl_engine { use qat_engine;
+      qat_engine { qat_offload_mode async; qat_poll_mode inline; } }
+  )").is_ok());
+  EXPECT_TRUE(parse_ssl_engine_settings(R"(
+    ssl_engine { use qat_engine;
+      qat_engine { qat_offload_mode sync; qat_poll_mode inline; } }
+  )").is_ok());
+  // The timer scheme's period is at least 1 us.
+  EXPECT_FALSE(parse_ssl_engine_settings(R"(
+    ssl_engine { use qat_engine; qat_engine { qat_notify_mode fd;
+      qat_poll_mode timer; qat_timer_poll_interval 0; } }
+  )").is_ok());
+  auto timer = parse_ssl_engine_settings(R"(
+    ssl_engine { use qat_engine; qat_engine { qat_notify_mode fd;
+      qat_poll_mode timer; qat_timer_poll_interval 250; } }
+  )");
+  ASSERT_TRUE(timer.is_ok());
+  EXPECT_EQ(timer.value().timer_interval, std::chrono::microseconds(250));
   EXPECT_FALSE(parse_ssl_engine_settings("worker_processes 0;").is_ok());
   EXPECT_FALSE(
       parse_ssl_engine_settings("ssl_engine { use other_engine; }").is_ok());
@@ -202,25 +221,21 @@ TEST(SslEngineConf, ParsesTopologyBlock) {
     }
   )");
   ASSERT_TRUE(settings.is_ok()) << settings.status().to_string();
-  const TopologySettings& t = settings.value().topology;
-  EXPECT_EQ(t.devices, 4);
+  const qat::TopologyConfig& t = settings.value().topology;
+  EXPECT_EQ(t.num_devices, 4);
   EXPECT_EQ(t.numa_nodes, 2);
   EXPECT_EQ(t.spill_threshold, 16u);
   ASSERT_EQ(t.worker_affinity.size(), 4u);
   EXPECT_EQ(t.worker_affinity[1], 2);
   // The explicit map wins over NUMA striping, wrapping past its length.
-  qat::TopologyConfig tc;
-  tc.num_devices = 4;
-  tc.numa_nodes = 2;
-  tc.worker_affinity = t.worker_affinity;
-  qat::DeviceTopology topo(tc);
+  qat::DeviceTopology topo(t);
   EXPECT_EQ(topo.preferred_device(1, 8), 2);
   EXPECT_EQ(topo.preferred_device(5, 8), 2);  // wraps: 5 % 4 -> slot 1
   // Defaults when the block is absent: a single device, striping policy.
   auto plain = parse_ssl_engine_settings(
       "ssl_engine { use qat_engine; qat_engine { qat_offload_mode sync; } }");
   ASSERT_TRUE(plain.is_ok());
-  EXPECT_EQ(plain.value().topology.devices, 1);
+  EXPECT_EQ(plain.value().topology.num_devices, 1);
   EXPECT_TRUE(plain.value().topology.worker_affinity.empty());
   // Bounds are validated, not clamped.
   EXPECT_FALSE(parse_ssl_engine_settings(
@@ -235,7 +250,6 @@ TEST(SslEngineConf, ParsesTopologyBlock) {
 TEST(SslEngineConf, SoftwareOnlyWhenNoEngineBlock) {
   auto settings = parse_ssl_engine_settings("worker_processes 4;");
   ASSERT_TRUE(settings.is_ok());
-  EXPECT_FALSE(settings.value().use_qat);
   EXPECT_EQ(settings.value().worker_processes, 4);
 }
 
@@ -431,13 +445,12 @@ TEST(WorkerE2E, FdNotificationConfiguration) {
 }
 
 TEST(WorkerE2E, TimerPollingThreadConfiguration) {
-  // QAT+A as evaluated in the paper: external 10us timer polling thread.
+  // QAT+A as evaluated in the paper: the worker's own 10us timer polling
+  // thread retrieves every response.
   WorkerConfig wcfg;
   wcfg.notify = NotifyScheme::kFd;
   wcfg.poll = PollScheme::kTimer;
   ServerRig rig(true, engine::OffloadMode::kAsync, wcfg);
-  engine::PollingThread poller({rig.qat->instance()},
-                               std::chrono::microseconds(10));
 
   client::Pool pool;
   client::ClientOptions copts;
@@ -448,9 +461,9 @@ TEST(WorkerE2E, TimerPollingThreadConfiguration) {
         300 + i));
   }
   ASSERT_TRUE(run_to_completion(rig.worker.get(), &pool));
-  poller.stop();
   EXPECT_EQ(pool.aggregate().errors, 0u);
-  EXPECT_GT(poller.retrieved(), 0u);
+  EXPECT_EQ(rig.worker->poller_stats(), nullptr);  // no in-app polling
+  EXPECT_GT(rig.qat->stats().completed, 0u);
 }
 
 TEST(WorkerE2E, StraightOffloadConfiguration) {
@@ -550,17 +563,15 @@ TEST(WorkerE2E, ManyConcurrentClientsNoStarvation) {
 // ------------------------------------------- sleeping on the device ----
 
 TEST(WorkerSleep, TimerSchemeSleepsWhileThePollingThreadRetrieves) {
-  // QAT+A: the polling thread retrieves and each connection's eventfd
-  // wakes epoll, so with ops on a slow device the loop has nothing to spin
-  // for. One handshake is about ten 20 ms ops.
+  // QAT+A: the worker's polling thread retrieves and each connection's
+  // eventfd wakes epoll, so with ops on a slow device the loop has nothing
+  // to spin for. One handshake is about ten 20 ms ops.
   WorkerConfig wcfg;
   wcfg.notify = NotifyScheme::kFd;
   wcfg.poll = PollScheme::kTimer;
   ServerRig rig(true, engine::OffloadMode::kAsync, wcfg,
                 tls::CipherSuite::kTlsRsaWithAes128CbcSha, true,
                 /*extra_service_ns=*/20'000'000);
-  engine::PollingThread poller({rig.qat->instance()},
-                               std::chrono::microseconds(10));
 
   client::Pool pool;
   client::ClientOptions copts;
@@ -569,8 +580,8 @@ TEST(WorkerSleep, TimerSchemeSleepsWhileThePollingThreadRetrieves) {
       rig.client_ctx.get(), socketpair_connector(rig.worker.get()), copts));
   ASSERT_TRUE(run_to_completion(rig.worker.get(), &pool, 60,
                                 /*timeout_ms=*/100));
-  poller.stop();
   EXPECT_EQ(pool.aggregate().errors, 0u);
+  EXPECT_GT(rig.qat->stats().completed, 0u);
   EXPECT_EQ(rig.worker->stats().handshakes_completed, 1u);
   EXPECT_GT(rig.worker->stats().sleeps, 0u);
   EXPECT_LE(rig.worker->heartbeat().iterations.load(), 100u);
@@ -618,7 +629,7 @@ TEST(WorkerSleep, ReadyResponseDoesNotWaitForFailover) {
   EXPECT_EQ(worker.poller_stats()->retrieved, before.retrieved + 1);
   EXPECT_LT(waited, std::chrono::milliseconds(100));
   const HeuristicPollerStats& after = *worker.poller_stats();
-  EXPECT_EQ(after.failover_triggers, before.failover_triggers);
+  EXPECT_EQ(after.failover_triggers, 0u);
   EXPECT_EQ(after.timeliness_triggers + after.efficiency_triggers, 0u);
   EXPECT_GE(after.wake_triggers + after.ready_triggers,
             before.wake_triggers + before.ready_triggers + 1);
@@ -697,6 +708,49 @@ TEST(HeuristicPoller, FailoverFiresAfterInterval) {
   EXPECT_GT(poller.stats().failover_triggers, 0u);
   ASSERT_EQ(asyncx::start_job(&job, &wctx, &ret, fn),
             asyncx::JobStatus::kFinished);
+}
+
+TEST(HeuristicPoller, FailoverIntervalStartsWhenOpsGoInFlight) {
+  // The worker checks failover every pass. The interval must count from
+  // the first check that finds the op in flight, not from the last poll
+  // before it (or from 0 for a poller that has never polled).
+  qat::DeviceConfig dcfg;
+  dcfg.num_endpoints = 1;
+  dcfg.engines_per_endpoint = 2;
+  qat::QatDevice device(dcfg);
+  engine::QatEngineConfig qcfg;
+  engine::QatEngineProvider qat(device.allocate_instance(), qcfg);
+  HeuristicPollerConfig hcfg;
+  hcfg.failover_interval_ms = 200;
+  HeuristicPoller poller(&qat, hcfg);
+
+  asyncx::AsyncJob* job = nullptr;
+  asyncx::WaitCtx wctx;
+  int ret = 0;
+  auto fn = [&]() -> int {
+    auto r = qat.prf_tls12(HashAlg::kSha256, to_bytes("k"), "l",
+                           to_bytes("s"), 32);
+    return r.is_ok() ? 1 : -1;
+  };
+  ASSERT_EQ(asyncx::start_job(&job, &wctx, &ret, fn),
+            asyncx::JobStatus::kPaused);
+  ASSERT_EQ(qat.inflight_total(), 1u);
+
+  const uint64_t t0 = 1000;
+  (void)poller.failover_poll(t0);
+  (void)poller.failover_poll(t0 + 199);
+  EXPECT_EQ(poller.stats().failover_triggers, 0u);
+  (void)poller.failover_poll(t0 + 200);
+  EXPECT_EQ(poller.stats().failover_triggers, 1u);
+
+  int guard = 0;
+  while (qat.inflight_total() > 0 && guard++ < 100000) {
+    (void)qat.poll();
+    std::this_thread::yield();
+  }
+  ASSERT_EQ(asyncx::start_job(&job, &wctx, &ret, fn),
+            asyncx::JobStatus::kFinished);
+  EXPECT_EQ(ret, 1);
 }
 
 }  // namespace

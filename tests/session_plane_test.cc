@@ -45,6 +45,10 @@ struct TicketPair {
   net::MemoryPipe pipe;
   engine::SoftwareProvider server_provider{1};
   engine::SoftwareProvider client_provider{2};
+  // Park the key ring in epoch 0 for the whole test so only the ticket
+  // LIFETIME decides acceptance, not key rotation.
+  SessionPlane plane{
+      SessionPlaneConfig{.ticket_rotate_interval_ms = 1ULL << 40, .seed = 111}};
   std::unique_ptr<TlsContext> server_ctx;
   std::unique_ptr<TlsContext> client_ctx;
   std::unique_ptr<TlsConnection> server;
@@ -55,11 +59,9 @@ struct TicketPair {
     scfg.is_server = true;
     scfg.cipher_suites = {CipherSuite::kEcdheRsaWithAes128CbcSha};
     scfg.use_session_tickets = true;
-    // Park the key ring in epoch 0 for the whole test so only the ticket
-    // LIFETIME decides acceptance, not key rotation.
-    scfg.ticket_rotate_interval_ms = 1ULL << 40;
     scfg.drbg_seed = 111;
     server_ctx = std::make_unique<TlsContext>(scfg, &server_provider);
+    server_ctx->set_session_plane(&plane);
     server_ctx->credentials().rsa_key = &test_rsa2048();
 
     TlsContextConfig ccfg;
@@ -79,7 +81,8 @@ TEST(TicketLifetime, ResumptionDoesNotExtendLifetime) {
   TicketPair pair;
   uint64_t fake_now = 1'000'000;
   pair.server_ctx->set_clock([&fake_now] { return fake_now; });
-  const uint64_t lifetime = pair.server_ctx->config().session_lifetime_ms;
+  const uint64_t lifetime =
+      pair.server_ctx->session_plane().config().lifetime_ms;
 
   ASSERT_TRUE(pump_handshake(pair.client.get(), pair.server.get()).ok);
   auto session = pair.client->established_session();
@@ -662,6 +665,55 @@ session_cache {
   EXPECT_EQ(settings.value().session.lifetime_ms, 60'000u);
   EXPECT_EQ(settings.value().session.ticket_rotate_interval_ms, 5'000u);
   EXPECT_EQ(settings.value().session.ticket_accept_epochs, 2u);
+}
+
+TEST(SessionCacheConf, ShapesThePoolsPlane) {
+  auto settings = server::parse_ssl_engine_settings(R"(
+worker_processes 1;
+session_cache {
+    shards 4;
+    capacity 64;
+    lifetime_ms 5000;
+}
+)");
+  ASSERT_TRUE(settings.is_ok()) << settings.status().message();
+  qat::DeviceTopology topo(settings.value().topology);
+  server::WorkerPoolOptions options =
+      server::pool_options_from(settings.value());
+  options.tls_config.cipher_suites = {CipherSuite::kEcdheRsaWithAes128CbcSha};
+  server::WorkerPool pool(&topo, &test_rsa2048(), options);
+  ASSERT_TRUE(pool.start(0).is_ok());
+  const SessionPlaneConfig& live = pool.session_plane().config();
+  EXPECT_EQ(live.cache_shards, 4u);
+  EXPECT_EQ(live.cache_capacity, 64u);
+  EXPECT_EQ(live.lifetime_ms, 5'000u);
+
+  // The worker's GET /stats reports the shape it serves.
+  engine::SoftwareProvider client_provider;
+  TlsContextConfig ccfg;
+  ccfg.cipher_suites = options.tls_config.cipher_suites;
+  TlsContext cctx(ccfg, &client_provider);
+  client::ClientOptions copts;
+  copts.path = "/stats";
+  copts.max_requests = 1;
+  const uint16_t port = pool.port();
+  client::HttpsClient stats_client(
+      &cctx,
+      [port]() -> int {
+        auto fd = net::tcp_connect(port);
+        return fd.is_ok() ? fd.value() : -1;
+      },
+      copts);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (stats_client.step() && std::chrono::steady_clock::now() < deadline) {
+  }
+  pool.stop();
+  EXPECT_EQ(stats_client.stats().errors, 0u);
+  const std::string body(stats_client.last_body().begin(),
+                         stats_client.last_body().end());
+  EXPECT_NE(body.find("\"session\":{\"cache_shards\":4,"), std::string::npos)
+      << body;
 }
 
 TEST(SessionCacheConf, DefaultsWithoutBlockAndRejectsBadValues) {

@@ -51,7 +51,7 @@ TEST(WakeupStress, ArmedSleepsNeverMissAResponse) {
         return true;
       };
       req.on_response = [&completed](const qat::CryptoResponse& r) {
-        EXPECT_TRUE(r.success);
+        EXPECT_EQ(r.status, qat::CryptoStatus::kSuccess);
         ++completed;
       };
       ASSERT_TRUE(inst->submit(std::move(req)));

@@ -21,7 +21,7 @@ TEST(WorkerPool, ServesTcpClientsAcrossWorkers) {
   options.tls_config.async_mode = true;
   options.tls_config.cipher_suites = {
       tls::CipherSuite::kEcdheRsaWithAes128CbcSha};
-  options.response_body_size = 2048;
+  options.worker_config.response_body_size = 2048;
 
   WorkerPool pool(&topo, &test_rsa2048(), options);
   ASSERT_TRUE(pool.start(0).is_ok());
@@ -252,6 +252,65 @@ TEST(WorkerPool, SleepingWorkerWakesOnTheDeviceAndKeepsItsHeartbeat) {
   EXPECT_GT(worker.stats().sleeps, 0u);
   ASSERT_NE(worker.poller_stats(), nullptr);
   EXPECT_GE(worker.poller_stats()->wake_triggers, 1u);
+}
+
+TEST(WorkerPool, TimerSchemeConfServesThroughTheWorkersPollingThread) {
+  // The paper's QAT+A configuration, built from its conf: FD notification
+  // and a 10 us timer polling thread that the worker starts for itself.
+  auto settings = parse_ssl_engine_settings(R"(
+worker_processes 1;
+ssl_engine {
+    use qat_engine;
+    default_algorithm RSA,EC,DH,PKEY_CRYPTO;
+    qat_engine {
+        qat_offload_mode async;
+        qat_notify_mode fd;
+        qat_poll_mode timer;
+        qat_timer_poll_interval 10;
+    }
+}
+)");
+  ASSERT_TRUE(settings.is_ok()) << settings.status().message();
+  qat::DeviceTopology topo(settings.value().topology);
+  WorkerPoolOptions options = pool_options_from(settings.value());
+  options.tls_config.cipher_suites = {
+      tls::CipherSuite::kEcdheRsaWithAes128CbcSha};
+  WorkerPool pool(&topo, &test_rsa2048(), options);
+  ASSERT_TRUE(pool.start(0).is_ok());
+
+  engine::SoftwareProvider client_provider;
+  tls::TlsContextConfig ccfg;
+  ccfg.cipher_suites = options.tls_config.cipher_suites;
+  tls::TlsContext cctx(ccfg, &client_provider);
+  const uint16_t port = pool.port();
+  client::Pool clients;
+  for (int i = 0; i < 2; ++i) {
+    client::ClientOptions copts;  // a full handshake per request
+    copts.max_requests = 3;
+    clients.add(std::make_unique<client::HttpsClient>(
+        &cctx,
+        [port]() -> int {
+          auto fd = net::tcp_connect(port);
+          return fd.is_ok() ? fd.value() : -1;
+        },
+        copts, 6000 + static_cast<uint64_t>(i)));
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  bool all_done = false;
+  while (!all_done && std::chrono::steady_clock::now() < deadline) {
+    all_done = true;
+    for (auto& c : clients.clients())
+      if (c->step()) all_done = false;
+  }
+  pool.stop();
+
+  EXPECT_TRUE(all_done) << "parked ops were never retrieved";
+  EXPECT_EQ(clients.aggregate().errors, 0u);
+  EXPECT_GE(pool.stats().totals.handshakes_completed, 6u);
+  EXPECT_EQ(pool.worker(0)->poller_stats(), nullptr);  // no in-app polling
+  EXPECT_GT(pool.engine(0)->stats().completed, 0u);
+  EXPECT_EQ(pool.engine(0)->inflight_total(), 0u);
 }
 
 }  // namespace
