@@ -8,9 +8,13 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <string>
+#include <utility>
 
 #include "crypto/aes.h"
+#include "crypto/asym_impl.h"
 #include "crypto/ec.h"
 #include "crypto/ec2m.h"
 #include "crypto/gcm.h"
@@ -65,6 +69,51 @@ void BM_RsaSign2048(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RsaSign2048)->Unit(benchmark::kMicrosecond);
+
+// The RSA-2048 sign and one 1024-bit CRT-half exponentiation on each
+// exponentiation path (crypto/asym_impl.h), whichever one dispatch picks:
+// rows BM_RsaSign2048_<path> and BM_MontExp1024_<path>. The ifma rows are
+// absent on a CPU without AVX-512 IFMA.
+void BM_RsaSign2048OnPath(benchmark::State& state, asym_impl::Path path) {
+  RsaPrivateKey key = test_rsa2048();
+  key.mont_p = std::make_shared<const MontCtx>(
+      asym_impl::Access::make_mont(key.p, path));
+  key.mont_q = std::make_shared<const MontCtx>(
+      asym_impl::Access::make_mont(key.q, path));
+  const Bytes digest = sha256(to_bytes("bench"));
+  const AllocsPerOp allocs(state);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rsa_sign_pkcs1(key, digest));
+  }
+}
+
+void BM_MontExp1024OnPath(benchmark::State& state, asym_impl::Path path) {
+  const RsaPrivateKey& key = test_rsa2048();
+  const MontCtx ctx = asym_impl::Access::make_mont(key.p, path);
+  const Bignum base =
+      Bignum::mod(Bignum::from_bytes_be(Bytes(256, 0x5c)), key.p);
+  const AllocsPerOp allocs(state);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ctx.exp(base, key.dp));
+  }
+}
+
+const bool kPathRowsRegistered = [] {
+  using asym_impl::Path;
+  const std::pair<const char*, Path> paths[] = {{"generic", Path::kGeneric},
+                                                {"fixed", Path::kFixed},
+                                                {"ifma", Path::kIfma}};
+  for (const auto& [name, path] : paths) {
+    if (path == Path::kIfma && !asym_impl::ifma_available()) continue;
+    benchmark::RegisterBenchmark(
+        (std::string("BM_RsaSign2048_") + name).c_str(), BM_RsaSign2048OnPath,
+        path)->Unit(benchmark::kMicrosecond);
+    benchmark::RegisterBenchmark(
+        (std::string("BM_MontExp1024_") + name).c_str(), BM_MontExp1024OnPath,
+        path)->Unit(benchmark::kMicrosecond);
+  }
+  return true;
+}();
 
 void BM_RsaVerify2048(benchmark::State& state) {
   const RsaPrivateKey& key = test_rsa2048();

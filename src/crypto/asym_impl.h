@@ -1,20 +1,27 @@
-// Internal to src/crypto: the two implementations behind MontCtx::exp and
+// Internal to src/crypto: the implementations behind MontCtx::exp and
 // EcCurve's scalar multiplication and curve check.
 //
 //   kGeneric  heap-backed Bignum arithmetic (bn.cc, ec.cc): any odd modulus,
 //             any prime curve. The reference the tests compare the other
-//             path against.
+//             paths against.
 //   kFixed    stack-resident, loop-unrolled kernels for exactly the shapes
-//             a handshake runs: Montgomery exponentiation modulo odd 16- and
-//             32-limb moduli (mont_fixed.cc: the RSA-2048 CRT halves,
-//             Miller-Rabin on 1024-bit candidates, the RSA-2048 public op)
-//             and P-256 on a 4-limb Montgomery field (p256.cc). They
+//             a handshake runs: Montgomery exponentiation modulo odd 4-, 16-
+//             and 32-limb moduli (mont_fixed.cc: the ECDSA nonce inverse mod
+//             P-256's order, the RSA-2048 CRT halves and Miller-Rabin on
+//             1024-bit candidates where IFMA is absent, the RSA-2048 public
+//             op) and P-256 on a 4-limb Montgomery field (p256.cc). They
 //             allocate only to convert their inputs and outputs.
+//   kIfma     AVX-512 IFMA Montgomery exponentiation modulo odd 16-limb
+//             moduli (mont_ifma.cc) on a fixed window schedule with masked
+//             table reads. rsa_private_op runs both CRT halves through one
+//             interleaved call.
 //
-// The operand shape alone picks the path: a MontCtx runs kFixed exactly when
-// its modulus has 16 or 32 limbs, an EcCurve exactly when its parameters are
-// P-256's. Both paths are variable-time (DESIGN.md §6). Access exists so
-// tests can run both paths side by side.
+// The operand shape and one CPUID read pick the path: a MontCtx runs kIfma
+// exactly when its modulus has 16 limbs and ifma_available(), kFixed when it
+// has 4, 16 or 32 limbs otherwise, and kGeneric for every other shape; an
+// EcCurve runs kFixed exactly when its parameters are P-256's. kFixed and
+// kGeneric are variable-time (DESIGN.md §6). Access exists so tests can run
+// the paths side by side.
 #pragma once
 
 #include <cstddef>
@@ -25,16 +32,24 @@
 
 namespace qtls::asym_impl {
 
-enum class Path : uint8_t { kGeneric, kFixed };
+enum class Path : uint8_t { kGeneric, kFixed, kIfma };
+
+// True when the CPU has AVX512F, AVX512VL and AVX512IFMA: a CPUID read,
+// cached per process.
+bool ifma_available();
 
 // Reaches MontCtx and EcCurve internals for the kernels and the tests.
 struct Access {
+  // Throws std::invalid_argument for a shape the path does not run, and for
+  // kIfma when !ifma_available().
   static MontCtx make_mont(const Bignum& modulus, Path path) {
     return MontCtx(modulus, path);
   }
   static Path path(const MontCtx& ctx) { return ctx.path_; }
   static uint64_t n0inv(const MontCtx& ctx) { return ctx.n0inv_; }
   static const Bignum& rr(const MontCtx& ctx) { return ctx.rr_; }
+  // 2^2080 mod n: R^2 for kIfma's 52-bit digits (set on kIfma contexts).
+  static const Bignum& rr_ifma(const MontCtx& ctx) { return ctx.rr_ifma_; }
 
   // A P-256 curve object that runs on `path` (kFixed is curve_p256()).
   static const EcCurve& p256(Path path);
@@ -102,8 +117,18 @@ inline uint64_t sbb(uint64_t a, uint64_t b, uint64_t& borrow) {
 }
 
 // The kFixed Montgomery exponentiation (mont_fixed.cc): a^e mod n for a
-// context whose modulus has 16 or 32 limbs.
+// context whose modulus has 4, 16 or 32 limbs.
 Bignum fixed_mont_exp(const MontCtx& ctx, const Bignum& a, const Bignum& e);
+
+// The kIfma Montgomery exponentiations (mont_ifma.cc), for kIfma contexts.
+// ifma_mont_exp runs one exponentiation over the exponent's length (an
+// exponent past 1024 bits goes to fixed_mont_exp). ifma_mont_exp_x2 runs
+// a^ep mod p and a^eq mod q side by side over the full 1024 bits, for
+// ep and eq below 2^1024.
+Bignum ifma_mont_exp(const MontCtx& ctx, const Bignum& a, const Bignum& e);
+void ifma_mont_exp_x2(const MontCtx& ctx_p, const Bignum& ep,
+                      const MontCtx& ctx_q, const Bignum& eq, const Bignum& a,
+                      Bignum& out_p, Bignum& out_q);
 
 // The kFixed P-256 operations (p256.cc). Points are affine with coordinates
 // below p (on_curve checks that); scalars are already reduced mod the order

@@ -340,22 +340,33 @@ uint64_t neg_inv_mod_2_64(uint64_t n) {
 }
 }  // namespace
 
+namespace {
+asym_impl::Path path_for(size_t limbs) {
+  if (limbs == 16 && asym_impl::ifma_available()) return asym_impl::Path::kIfma;
+  if (limbs == 4 || limbs == 16 || limbs == 32) return asym_impl::Path::kFixed;
+  return asym_impl::Path::kGeneric;
+}
+}  // namespace
+
 MontCtx::MontCtx(const Bignum& modulus)
-    : MontCtx(modulus, modulus.limb_count() == 16 || modulus.limb_count() == 32
-                           ? asym_impl::Path::kFixed
-                           : asym_impl::Path::kGeneric) {}
+    : MontCtx(modulus, path_for(modulus.limb_count())) {}
 
 MontCtx::MontCtx(const Bignum& modulus, asym_impl::Path path)
     : path_(path), n_(modulus) {
   if (!modulus.is_odd())
     throw std::invalid_argument("MontCtx requires odd modulus");
   k_ = n_.limb_count();
-  if (path_ == asym_impl::Path::kFixed && k_ != 16 && k_ != 32)
-    throw std::invalid_argument("fixed-width MontCtx needs 16 or 32 limbs");
+  if (path_ == asym_impl::Path::kFixed && k_ != 4 && k_ != 16 && k_ != 32)
+    throw std::invalid_argument("fixed-width MontCtx needs 4, 16 or 32 limbs");
+  if (path_ == asym_impl::Path::kIfma &&
+      (k_ != 16 || !asym_impl::ifma_available()))
+    throw std::invalid_argument("IFMA MontCtx needs 16 limbs and IFMA");
   n0inv_ = neg_inv_mod_2_64(n_.limb(0));
   // R^2 mod n, R = 2^(64k).
   Bignum r2 = Bignum::shl(Bignum(1), 64 * k_ * 2);
   rr_ = Bignum::mod(r2, n_);
+  if (path_ == asym_impl::Path::kIfma)
+    rr_ifma_ = Bignum::mod(Bignum::shl(Bignum(1), 2080), n_);
 }
 
 Bignum MontCtx::to_mont(const Bignum& a) const { return mul(a, rr_); }
@@ -405,6 +416,8 @@ Bignum MontCtx::mul(const Bignum& a, const Bignum& b) const {
 }
 
 Bignum MontCtx::exp(const Bignum& a, const Bignum& e) const {
+  if (path_ == asym_impl::Path::kIfma)
+    return asym_impl::ifma_mont_exp(*this, a, e);
   if (path_ == asym_impl::Path::kFixed)
     return asym_impl::fixed_mont_exp(*this, a, e);
   if (e.is_zero()) return Bignum::mod(Bignum(1), n_);

@@ -140,6 +140,7 @@ class MontCtx {
   size_t k_;        // limb count of n
   uint64_t n0inv_;  // -n^{-1} mod 2^64
   Bignum rr_;       // R^2 mod n, R = 2^(64k)
+  Bignum rr_ifma_;  // 2^2080 mod n on kIfma contexts (R = 2^1040)
 };
 
 }  // namespace qtls

@@ -47,7 +47,8 @@ EcCurve::EcCurve(std::string name, const std::string& p_hex,
       gx_(Bignum::from_hex(gx_hex)),
       gy_(Bignum::from_hex(gy_hex)),
       n_(Bignum::from_hex(n_hex)),
-      mont_(std::make_unique<MontCtx>(p_)) {
+      mont_(std::make_unique<MontCtx>(p_)),
+      order_mont_(std::make_unique<MontCtx>(n_)) {
   a_mont_ = mont_->to_mont(a_);
   b_mont_ = mont_->to_mont(b_);
   // The dedicated P-256 code hard-wires p, a = -3, b and G.
@@ -332,6 +333,12 @@ Result<EcdsaSignature> EcdsaSignature::decode(BytesView data,
 }
 
 namespace {
+// k^-1 mod the (prime) group order for 0 < k < n, by Fermat: k^(n-2). On
+// P-256 the order is four limbs, a fixed-width exponentiation.
+Bignum inverse_mod_order(const EcCurve& curve, const Bignum& k) {
+  return curve.scalar_field().exp(k, Bignum::sub(curve.order(), Bignum(2)));
+}
+
 // Digest -> integer per FIPS 186-4: leftmost order-bits of the digest.
 Bignum digest_to_scalar(const EcCurve& curve, BytesView digest) {
   Bignum z = Bignum::from_bytes_be(digest);
@@ -352,7 +359,7 @@ EcdsaSignature ecdsa_sign(const EcCurve& curve, const Bignum& priv,
     const EcPoint kg = curve.mul_base(k);
     const Bignum r = Bignum::mod(kg.x, n);
     if (r.is_zero()) continue;
-    const Bignum kinv = Bignum::mod_inverse(k, n);
+    const Bignum kinv = inverse_mod_order(curve, k);
     // s = k^-1 (z + r d) mod n
     Bignum s = Bignum::mod_mul(r, priv, n);
     s = Bignum::mod_add(s, Bignum::mod(z, n), n);
@@ -371,7 +378,7 @@ Status ecdsa_verify(const EcCurve& curve, const EcPoint& pub, BytesView digest,
   if (!curve.on_curve(pub) || pub.infinity)
     return err(Code::kCryptoError, "invalid public key");
   const Bignum z = Bignum::mod(digest_to_scalar(curve, digest), n);
-  const Bignum sinv = Bignum::mod_inverse(sig.s, n);
+  const Bignum sinv = inverse_mod_order(curve, sig.s);
   const Bignum u1 = Bignum::mod_mul(z, sinv, n);
   const Bignum u2 = Bignum::mod_mul(sig.r, sinv, n);
   const EcPoint p1 = curve.mul_base(u1);

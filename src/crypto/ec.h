@@ -58,6 +58,8 @@ class EcCurve {
   Result<EcPoint> decode_point(BytesView data) const;
 
   const MontCtx& field() const { return *mont_; }
+  // Montgomery context of the group order, for inverses mod the order.
+  const MontCtx& scalar_field() const { return *order_mont_; }
 
  private:
   friend struct asym_impl::Access;
@@ -71,6 +73,7 @@ class EcCurve {
   asym_impl::Path path_;
   Bignum p_, a_, b_, gx_, gy_, n_;
   std::unique_ptr<MontCtx> mont_;
+  std::unique_ptr<MontCtx> order_mont_;
   Bignum a_mont_, b_mont_;
 };
 

@@ -93,7 +93,7 @@ void load(uint64_t* out, const Bignum& v) {
 template <size_t N>
 Bignum exp_n(const MontCtx& ctx, const Bignum& a, const Bignum& e) {
   const Bignum& n = ctx.modulus();
-  if (e.is_zero()) return Bignum(1);  // n > 1 for every 16- or 32-limb n
+  if (e.is_zero()) return Bignum(1);  // n > 1 for every 4-, 16- or 32-limb n
   const FixedMont<N> m(n.limbs().data(), Access::n0inv(ctx));
 
   uint64_t rr[N];
@@ -133,7 +133,11 @@ Bignum exp_n(const MontCtx& ctx, const Bignum& a, const Bignum& e) {
 }  // namespace
 
 Bignum fixed_mont_exp(const MontCtx& ctx, const Bignum& a, const Bignum& e) {
-  return ctx.limbs() == 16 ? exp_n<16>(ctx, a, e) : exp_n<32>(ctx, a, e);
+  switch (ctx.limbs()) {
+    case 4: return exp_n<4>(ctx, a, e);
+    case 16: return exp_n<16>(ctx, a, e);
+    default: return exp_n<32>(ctx, a, e);
+  }
 }
 
 }  // namespace qtls::asym_impl

@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "crypto/asym_impl.h"
 #include "crypto/kdf.h"
 #include "crypto/primes.h"
 
@@ -53,10 +54,20 @@ Bignum rsa_public_op(const RsaPublicKey& key, const Bignum& m) {
 Bignum rsa_private_op(const RsaPrivateKey& key, const Bignum& c) {
   // CRT: m1 = c^dp mod p, m2 = c^dq mod q, h = qinv (m1 - m2) mod p,
   // m = m2 + h q.
-  const Bignum m1 = key.mont_p ? key.mont_p->exp(c, key.dp)
-                               : Bignum::mod_exp(c, key.dp, key.p);
-  const Bignum m2 = key.mont_q ? key.mont_q->exp(c, key.dq)
-                               : Bignum::mod_exp(c, key.dq, key.q);
+  using asym_impl::Access;
+  using asym_impl::Path;
+  Bignum m1, m2;
+  if (key.mont_p && key.mont_q && Access::path(*key.mont_p) == Path::kIfma &&
+      Access::path(*key.mont_q) == Path::kIfma && key.dp.bit_length() <= 1024 &&
+      key.dq.bit_length() <= 1024) {
+    asym_impl::ifma_mont_exp_x2(*key.mont_p, key.dp, *key.mont_q, key.dq, c,
+                                m1, m2);
+  } else {
+    m1 = key.mont_p ? key.mont_p->exp(c, key.dp)
+                    : Bignum::mod_exp(c, key.dp, key.p);
+    m2 = key.mont_q ? key.mont_q->exp(c, key.dq)
+                    : Bignum::mod_exp(c, key.dq, key.q);
+  }
   const Bignum diff = Bignum::mod_sub(m1, m2, key.p);
   const Bignum h = Bignum::mod_mul(key.qinv, diff, key.p);
   return Bignum::add(m2, Bignum::mul(h, key.q));

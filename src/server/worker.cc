@@ -48,6 +48,7 @@ struct Worker::Conn {
   bool expecting_async = false;
   bool deferred_read = false;        // saved read event (event disorder)
   bool fd_registered = false;        // wait-ctx eventfd added to epoll
+  bool socket_parked = false;        // socket out of epoll (close_handler)
 
   bool in_async_resume = false;      // handler running off an async event
   bool idle = false;
@@ -350,7 +351,7 @@ void Worker::close_connection(Conn* conn, bool error) {
     });
   if (conn->fd_registered && conn->tls->wait_ctx()->has_fd())
     (void)loop_.remove(conn->tls->wait_ctx()->fd());
-  (void)loop_.remove(conn->fd);
+  if (!conn->socket_parked) (void)loop_.remove(conn->fd);
   conns_.erase(conn->fd);
   conn_pool_->destroy(conn);  // slot recycled; conn is dead past this line
   // Capacity freed: pull a parked accept in, and let a drain in progress
@@ -710,14 +711,27 @@ void Worker::write_handler(Conn* conn) {
   // Response fully flushed: back to the keepalive wait.
   arm_deadline(conn, DeadlineKind::kIdle, config_.overload.idle_timeout_ms);
   if (!conn->response_keepalive) {
-    (void)conn->tls->shutdown();
-    close_connection(conn, false);
+    close_handler(conn);
     return;
   }
   (void)loop_.modify(conn->fd, true, false);
   // A pipelined next request may already be buffered in the TLS layer;
   // read_handler settles the connection back to idle if there is none.
   read_handler(conn);
+}
+
+void Worker::close_handler(Conn* conn) {
+  if (conn->tls->shutdown() == tls::TlsResult::kWantAsync) {
+    // Nothing more is read or written on the socket, and a peer's hang-up
+    // would raise EPOLLHUP on every pass whatever the interest mask.
+    if (!conn->socket_parked) {
+      (void)loop_.remove(conn->fd);
+      conn->socket_parked = true;
+    }
+    park_async(conn, &Worker::close_handler);
+    return;
+  }
+  close_connection(conn, false);
 }
 
 // ---------------------------------------------------------- memory plane ----

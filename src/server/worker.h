@@ -235,6 +235,10 @@ class Worker {
   void handshake_handler(Conn* conn);
   void read_handler(Conn* conn);
   void write_handler(Conn* conn);
+  // Sends close_notify and closes. An offloaded seal parks the connection
+  // like any other op, with its socket out of the epoll set, and the async
+  // event closes it.
+  void close_handler(Conn* conn);
 
   // Static-file path (DESIGN.md §11): resolve + open under file_root
   // (false = miss → 404), stream the next chunks through the TLS layer,

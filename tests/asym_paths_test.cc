@@ -1,12 +1,16 @@
-// Differential tests of the two asymmetric paths (crypto/asym_impl.h): the
-// fixed-width Montgomery exponentiation and the dedicated P-256 code must
-// give exactly what the generic Bignum code gives, on random operands and
-// on the edges of each kernel (zero and all-ones exponents, bases at and
-// past the modulus, scalars at and past the group order, scalars whose top
-// windows are zero, coordinates at and past p).
+// Differential tests of the asymmetric paths (crypto/asym_impl.h): the
+// fixed-width and IFMA Montgomery exponentiations and the dedicated P-256
+// code must give exactly what the generic Bignum code gives, on random
+// operands and on the edges of each kernel (zero and all-ones exponents,
+// bases at and past the modulus, scalars at and past the group order,
+// scalars whose top windows are zero, coordinates at and past p). The IFMA
+// tests skip, with a message, on a CPU without AVX-512 IFMA.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "crypto/asym_impl.h"
@@ -40,20 +44,49 @@ Bignum all_ones(size_t bits) {
   return Bignum::sub(Bignum::shl(Bignum(1), bits), Bignum(1));
 }
 
+// The fixed and generic results always; the IFMA result too for a 16-limb
+// modulus on a CPU that has it.
 void expect_exp_agrees(const Bignum& n, const Bignum& a, const Bignum& e) {
   const MontCtx fixed = Access::make_mont(n, Path::kFixed);
   const MontCtx generic = Access::make_mont(n, Path::kGeneric);
-  EXPECT_EQ(fixed.exp(a, e), generic.exp(a, e))
+  const Bignum want = generic.exp(a, e);
+  EXPECT_EQ(fixed.exp(a, e), want)
       << "n=" << n.to_hex() << " a=" << a.to_hex() << " e=" << e.to_hex();
+  if (n.limb_count() == 16 && asym_impl::ifma_available()) {
+    const MontCtx ifma = Access::make_mont(n, Path::kIfma);
+    EXPECT_EQ(ifma.exp(a, e), want)
+        << "ifma n=" << n.to_hex() << " a=" << a.to_hex()
+        << " e=" << e.to_hex();
+  }
 }
+
+// The path a 16-limb modulus takes on this CPU.
+Path path_16() {
+  return asym_impl::ifma_available() ? Path::kIfma : Path::kFixed;
+}
+
+#define SKIP_WITHOUT_IFMA()                                              \
+  if (!asym_impl::ifma_available())                                      \
+  GTEST_SKIP() << "CPU lacks AVX512F/VL/IFMA: the kIfma path is absent " \
+                  "here and the fixed path runs instead"
 
 TEST(AsymPaths, ShapeAlonePicksThePath) {
   Rng rng(0x5a);
   for (size_t limbs : {1u, 4u, 8u, 15u, 16u, 17u, 24u, 31u, 32u, 33u, 48u}) {
     const MontCtx ctx(random_modulus(rng, limbs));
-    EXPECT_EQ(Access::path(ctx), limbs == 16 || limbs == 32 ? Path::kFixed
-                                                            : Path::kGeneric)
-        << limbs << " limbs";
+    const Path want = limbs == 16                ? path_16()
+                      : limbs == 4 || limbs == 32 ? Path::kFixed
+                                                  : Path::kGeneric;
+    EXPECT_EQ(Access::path(ctx), want) << limbs << " limbs";
+  }
+  const Bignum n16 = random_modulus(rng, 16);
+  EXPECT_THROW((void)Access::make_mont(random_modulus(rng, 8), Path::kFixed),
+               std::invalid_argument);
+  EXPECT_THROW((void)Access::make_mont(random_modulus(rng, 32), Path::kIfma),
+               std::invalid_argument);
+  if (!asym_impl::ifma_available()) {
+    EXPECT_THROW((void)Access::make_mont(n16, Path::kIfma),
+                 std::invalid_argument);
   }
   EXPECT_EQ(Access::path(curve_p256()), Path::kFixed);
   EXPECT_EQ(Access::path(curve_p384()), Path::kGeneric);
@@ -62,7 +95,7 @@ TEST(AsymPaths, ShapeAlonePicksThePath) {
 
 TEST(AsymPaths, MontExpRandomFullWidth) {
   Rng rng(0x4d4f4e54);
-  for (size_t limbs : {16u, 32u}) {
+  for (size_t limbs : {4u, 16u, 32u}) {
     for (int m = 0; m < 6; ++m) {
       // One modulus with a one-word top limb: R^2 mod n and the final
       // subtraction see their widest spread there.
@@ -78,7 +111,7 @@ TEST(AsymPaths, MontExpRandomFullWidth) {
 
 TEST(AsymPaths, MontExpEdgeExponentsAndBases) {
   Rng rng(0xed6e);
-  for (size_t limbs : {16u, 32u}) {
+  for (size_t limbs : {4u, 16u, 32u}) {
     const Bignum n = random_modulus(rng, limbs);
     const Bignum n_minus_1 = Bignum::sub(n, Bignum(1));
     // Exponents at each window-width boundary as well as the named edges.
@@ -103,6 +136,61 @@ TEST(AsymPaths, MontExpEdgeExponentsAndBases) {
                             Bignum::mod(random_bits_of(rng, limbs * 64), n)};
     for (const Bignum& e : exponents)
       for (const Bignum& a : bases) expect_exp_agrees(n, a, e);
+  }
+}
+
+// -------------------------------------------------------------- IFMA ----
+
+TEST(AsymPaths, IfmaEdgesOnModuliFromSeveralSeeds) {
+  SKIP_WITHOUT_IFMA();
+  for (uint64_t seed : {0x1f3au, 0x2b7cu, 0x3d01u, 0x4e55u}) {
+    Rng rng(seed);
+    // A random odd modulus, one whose top limb is 1 (961 bits) and one whose
+    // top limb is all ones.
+    for (uint64_t top : {uint64_t{0}, uint64_t{1}, ~uint64_t{0}}) {
+      const Bignum n = random_modulus(rng, 16, top);
+      const Bignum exponents[] = {
+          Bignum(0), Bignum(1), Bignum(2), Bignum(65537), all_ones(1024),
+          // Leading zero windows under the full-width schedule of x2, and a
+          // 1024-bit exponent whose top windows are zero.
+          random_bits_of(rng, 300), Bignum::shl(Bignum(1), 1023),
+          Bignum::add(Bignum::shl(Bignum(1), 1000), Bignum(1)),
+          random_bits_of(rng, 1024)};
+      const Bignum bases[] = {Bignum(0),
+                              Bignum(1),
+                              Bignum::sub(n, Bignum(1)),
+                              n,
+                              Bignum::add(n, Bignum(7)),
+                              random_bits_of(rng, 2048),
+                              Bignum::mod(random_bits_of(rng, 1024), n)};
+      for (const Bignum& e : exponents)
+        for (const Bignum& a : bases) expect_exp_agrees(n, a, e);
+    }
+  }
+}
+
+TEST(AsymPaths, IfmaX2MatchesTwoSingles) {
+  SKIP_WITHOUT_IFMA();
+  Rng rng(0x7832);
+  for (int round = 0; round < 6; ++round) {
+    const Bignum p = random_modulus(rng, 16, round == 0 ? 1 : 0);
+    const Bignum q = random_modulus(rng, 16);
+    const MontCtx cp = Access::make_mont(p, Path::kIfma);
+    const MontCtx cq = Access::make_mont(q, Path::kIfma);
+    const MontCtx gp = Access::make_mont(p, Path::kGeneric);
+    const MontCtx gq = Access::make_mont(q, Path::kGeneric);
+    // Exponents of different lengths, and the edges, in either half.
+    const Bignum ep = round == 1   ? Bignum(0)
+                      : round == 2 ? all_ones(1024)
+                                   : random_bits_of(rng, 1024 - 97 * round);
+    const Bignum eq = round == 3 ? Bignum(1) : random_bits_of(rng, 1024);
+    const Bignum a = round == 4 ? Bignum(0) : random_bits_of(rng, 2048);
+    Bignum mp, mq;
+    asym_impl::ifma_mont_exp_x2(cp, ep, cq, eq, a, mp, mq);
+    EXPECT_EQ(mp, cp.exp(a, ep)) << "round " << round;
+    EXPECT_EQ(mq, cq.exp(a, eq)) << "round " << round;
+    EXPECT_EQ(mp, gp.exp(a, ep)) << "round " << round;
+    EXPECT_EQ(mq, gq.exp(a, eq)) << "round " << round;
   }
 }
 
@@ -236,11 +324,11 @@ TEST(AsymPaths, EcOpsByteIdentical) {
 }
 
 // The tests from here on use the keystore keys. RSA-2048 keygen runs
-// Miller-Rabin on the fixed path, so a broken kernel hangs it: the
+// Miller-Rabin on the IFMA or fixed path, so a broken kernel hangs it: the
 // differential tests above run first and name the fault before that.
 TEST(AsymPaths, RsaOpsByteIdentical) {
   const RsaPrivateKey& key = test_rsa2048();
-  EXPECT_EQ(Access::path(*key.mont_p), Path::kFixed);
+  EXPECT_EQ(Access::path(*key.mont_p), path_16());
   EXPECT_EQ(Access::path(*key.pub.mont_n), Path::kFixed);
   RsaPrivateKey generic = key;
   generic.mont_p = std::make_shared<const MontCtx>(
@@ -268,8 +356,44 @@ TEST(AsymPaths, RsaOpsByteIdentical) {
             "2acb3e3b9a718a3d3d2cd4dcd1ca2498");
 }
 
+// The same key on each CRT path: signatures and decryptions byte for byte.
+TEST(AsymPaths, RsaPrivateOpsByteIdenticalOnEveryPath) {
+  const RsaPrivateKey& key = test_rsa2048();
+  std::vector<Path> paths{Path::kGeneric, Path::kFixed};
+  if (asym_impl::ifma_available()) paths.push_back(Path::kIfma);
+  std::vector<RsaPrivateKey> keys;
+  for (Path path : paths) {
+    RsaPrivateKey k = key;
+    k.mont_p =
+        std::make_shared<const MontCtx>(Access::make_mont(key.p, path));
+    k.mont_q =
+        std::make_shared<const MontCtx>(Access::make_mont(key.q, path));
+    keys.push_back(k);
+  }
+  HmacDrbg rng = make_test_drbg(21);
+  for (const char* msg : {"asym paths", "", "every path"}) {
+    const Bytes digest = sha256(to_bytes(msg));
+    const Bytes sig = rsa_sign_pkcs1(keys[0], digest);
+    const auto ct = rsa_encrypt_pkcs1(key.pub, digest, rng);
+    ASSERT_TRUE(ct.is_ok());
+    for (size_t i = 0; i < keys.size(); ++i) {
+      SCOPED_TRACE("path " + std::to_string(static_cast<int>(paths[i])));
+      EXPECT_EQ(rsa_sign_pkcs1(keys[i], digest), sig);
+      const auto pt = rsa_decrypt_pkcs1(keys[i], ct.value());
+      ASSERT_TRUE(pt.is_ok());
+      EXPECT_EQ(pt.value(), digest);
+    }
+  }
+  // Raw private ops on inputs at the edges: 0, 1, n - 1.
+  const Bignum edges[] = {Bignum(0), Bignum(1),
+                          Bignum::sub(key.pub.n, Bignum(1))};
+  for (const Bignum& c : edges)
+    for (size_t i = 1; i < keys.size(); ++i)
+      EXPECT_EQ(rsa_private_op(keys[i], c), rsa_private_op(keys[0], c));
+}
+
 TEST(AsymPaths, KeystoreKeysKeepTheirValues) {
-  // RSA-2048 keygen runs Miller-Rabin on the fixed path (1024-bit
+  // RSA-2048 keygen runs Miller-Rabin on the IFMA or fixed path (1024-bit
   // candidates are 16 limbs); the keys must be the generic code's.
   EXPECT_EQ(to_hex(sha256(to_bytes(test_rsa2048().serialize()))),
             "4af88cae673f973a94b85855a9226794"

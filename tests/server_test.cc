@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include "crypto/keystore.h"
+#include <chrono>
 #include <thread>
+
+#include "qat/fault.h"
 
 #include "server_test_util.h"
 
@@ -633,6 +636,113 @@ TEST(WorkerSleep, ReadyResponseDoesNotWaitForFailover) {
   EXPECT_EQ(after.timeliness_triggers + after.efficiency_triggers, 0u);
   EXPECT_GE(after.wake_triggers + after.ready_triggers,
             before.wake_triggers + before.ready_triggers + 1);
+}
+
+// --------------------------------------------- parking the close seal ----
+
+// A two-engine device with a fault plan, an async QAT server and a client
+// context: the rig for the close-seal test below.
+struct CloseRig {
+  qat::FaultPlan plan;
+  qat::QatDevice device;
+  engine::QatEngineProvider qat;
+  tls::TlsContext server_ctx;
+  engine::SoftwareProvider client_provider{99};
+  tls::TlsContext client_ctx;
+  Worker worker;
+
+  static qat::DeviceConfig device_config(qat::FaultPlan* plan) {
+    qat::DeviceConfig d;
+    d.num_endpoints = 1;
+    d.engines_per_endpoint = 2;
+    d.fault_plan = plan;
+    return d;
+  }
+  static tls::TlsContextConfig server_config() {
+    tls::TlsContextConfig c;
+    c.is_server = true;
+    c.async_mode = true;
+    c.cipher_suites = {tls::CipherSuite::kTlsRsaWithAes128CbcSha};
+    c.drbg_seed = 1;
+    return c;
+  }
+  static tls::TlsContextConfig client_config() {
+    tls::TlsContextConfig c;
+    c.cipher_suites = {tls::CipherSuite::kTlsRsaWithAes128CbcSha};
+    c.drbg_seed = 2;
+    return c;
+  }
+  CloseRig()
+      : device(device_config(&plan)),
+        qat(device.allocate_instance(), engine::QatEngineConfig{}),
+        server_ctx(server_config(), &qat),
+        client_ctx(client_config(), &client_provider),
+        worker(&server_ctx, &qat, WorkerConfig{}) {
+    server_ctx.credentials().rsa_key = &test_rsa2048();
+  }
+
+  std::unique_ptr<client::HttpsClient> one_shot_client(uint64_t seed) {
+    client::ClientOptions copts;
+    copts.keepalive = false;
+    copts.max_requests = 1;
+    return std::make_unique<client::HttpsClient>(
+        &client_ctx, socketpair_connector(&worker), copts, seed);
+  }
+};
+
+TEST(WorkerClose, CloseNotifySealParksWhileAnotherHandshakeCompletes) {
+  // The ordinal of a connection's close_notify seal among cipher ops: the
+  // last cipher op one non-keepalive connection makes.
+  uint64_t close_seal = 0;
+  {
+    CloseRig dry;
+    client::Pool pool;
+    pool.add(dry.one_shot_client(1));
+    ASSERT_TRUE(run_to_completion(&dry.worker, &pool));
+    ASSERT_EQ(dry.worker.stats().closed, 1u);
+    close_seal = dry.plan.ops_seen(qat::OpKind::kCipher16k);
+    ASSERT_GT(close_seal, 0u);
+  }
+
+  // Stall one engine for 300 ms on A's close_notify seal. B's handshake,
+  // served by the other engine, completes while A is still closing: the
+  // worker parks A rather than polling until its seal returns.
+  CloseRig rig;
+  rig.plan.schedule(qat::OpKind::kCipher16k, close_seal,
+                    qat::FaultKind::kStall, 300'000'000);
+  auto a = rig.one_shot_client(1);
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (a->stats().requests == 0 &&
+         std::chrono::steady_clock::now() < give_up) {
+    (void)a->step();
+    rig.worker.run_once(0);
+  }
+  ASSERT_EQ(a->stats().requests, 1u);
+
+  auto b = rig.one_shot_client(2);
+  const auto b_start = std::chrono::steady_clock::now();
+  while (b->stats().connections == 0 &&
+         std::chrono::steady_clock::now() < give_up) {
+    (void)a->step();
+    (void)b->step();
+    rig.worker.run_once(0);
+  }
+  const auto b_handshake = std::chrono::steady_clock::now() - b_start;
+  ASSERT_EQ(b->stats().connections, 1u);
+  EXPECT_EQ(rig.worker.stats().closed, 0u)
+      << "A closed before B's handshake completed: the worker waited on A's "
+         "close_notify seal";
+  EXPECT_LT(b_handshake, std::chrono::milliseconds(250));
+
+  client::Pool rest;
+  rest.add(std::move(a));
+  rest.add(std::move(b));
+  ASSERT_TRUE(run_to_completion(&rig.worker, &rest));
+  EXPECT_EQ(rest.aggregate().errors, 0u);
+  EXPECT_EQ(rig.worker.stats().closed, 2u);
+  EXPECT_EQ(rig.worker.stats().errors, 0u);
+  EXPECT_EQ(rig.plan.counters().injected_stalls.load(), 1u);
 }
 
 TEST(HeuristicPoller, TimelinessTriggerFiresWhenAllActiveBlocked) {
