@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "crypto/keystore.h"
+#include "crypto/kdf.h"
 #include "engine/qat_engine.h"
 
 namespace qtls {
@@ -279,6 +280,119 @@ void BM_DeliveryPolledVsInterrupt(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_DeliveryPolledVsInterrupt)->Arg(0)->Arg(1);
+
+// The worker's cost of handing one 4 × 16 KB aead_seal_batch to its
+// provider, per record. `inline` seals on the calling thread through
+// SoftwareProvider. `offload` goes through QatEngineProvider (async, one
+// engine, as the benchmark server wires it) in a fiber driven like the
+// worker drives one, resumed only when its WaitCtx is notified, and counts
+// the time inside the fiber and in polls that retrieved a response: the
+// idle wait for the device is excluded. The jobs carry the payload's owner,
+// as the record layer's do, into empty blocks that are freed inside the
+// timed region, as the TX chain frees them after the write. Every batch is
+// byte-compared with a software reference. ROADMAP item 4 gates offload
+// below inline in the same run.
+void BM_SealBatchHandoff(benchmark::State& state, bool offload) {
+  constexpr size_t kRecords = 4;
+  constexpr size_t kRecord = 16 * 1024;
+  qat::DeviceConfig dcfg;
+  dcfg.num_endpoints = 1;
+  dcfg.engines_per_endpoint = 1;
+  qat::QatDevice device(dcfg);
+  engine::QatEngineProvider qat(device.allocate_instance(),
+                                engine::QatEngineConfig{});
+  engine::SoftwareProvider sw;
+
+  HmacDrbg rng(HashAlg::kSha256, to_bytes("seal-handoff"));
+  const Bytes key = rng.generate(16);
+  auto payload =
+      std::make_shared<const Bytes>(rng.generate(kRecords * kRecord));
+  std::vector<Bytes> nonces, aads;
+  for (size_t i = 0; i < kRecords; ++i) {
+    nonces.push_back(rng.generate(12));
+    aads.push_back(rng.generate(5));
+  }
+  const auto make_jobs = [&](std::vector<Bytes>& outs) {
+    std::vector<engine::AeadSealJob> jobs;
+    for (size_t i = 0; i < kRecords; ++i)
+      jobs.push_back({nonces[i], aads[i],
+                      BytesView(*payload).subspan(i * kRecord, kRecord),
+                      &outs[i], payload});
+    return jobs;
+  };
+  std::vector<Bytes> want(kRecords);
+  {
+    std::vector<engine::AeadSealJob> jobs = make_jobs(want);
+    if (!sw.aead_seal_batch(key, jobs).is_ok()) {
+      state.SkipWithError("reference seal failed");
+      return;
+    }
+  }
+
+  struct Wakes {
+    bool pending = false;
+  } wakes;
+  asyncx::WaitCtx wctx;
+  wctx.set_callback([](void* arg) { static_cast<Wakes*>(arg)->pending = true; },
+                    &wakes);
+  using Clock = std::chrono::steady_clock;
+  uint64_t busy_total_ns = 0;
+  for (auto _ : state) {
+    std::vector<Bytes> outs(kRecords);
+    std::vector<engine::AeadSealJob> jobs = make_jobs(outs);
+    Status st = Status::ok();
+    Clock::duration busy{};
+    if (!offload) {
+      const auto t = Clock::now();
+      st = sw.aead_seal_batch(key, jobs);
+      busy += Clock::now() - t;
+    } else {
+      asyncx::AsyncJob* job = nullptr;
+      int ret = 0;
+      auto t = Clock::now();
+      asyncx::JobStatus js = asyncx::start_job(&job, &wctx, &ret, [&] {
+        st = qat.aead_seal_batch(key, jobs);
+        return 1;
+      });
+      busy += Clock::now() - t;
+      while (js == asyncx::JobStatus::kPaused) {
+        t = Clock::now();
+        const size_t got = qat.poll();
+        if (got > 0) busy += Clock::now() - t;
+        if (!wakes.pending) continue;
+        wakes.pending = false;
+        t = Clock::now();
+        js = asyncx::start_job(&job, &wctx, &ret, nullptr);
+        busy += Clock::now() - t;
+      }
+    }
+    if (!st.is_ok() || outs != want) {
+      state.SkipWithError("sealed bytes differ from the software reference");
+      break;
+    }
+    const auto t = Clock::now();
+    outs.clear();
+    busy += Clock::now() - t;
+    benchmark::DoNotOptimize(outs.data());
+    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(busy);
+    busy_total_ns += static_cast<uint64_t>(ns.count());
+    state.SetIterationTime(std::chrono::duration<double>(busy).count());
+  }
+  if (state.iterations() == 0) return;
+  const double ns_per_record =
+      static_cast<double>(busy_total_ns) /
+      static_cast<double>(state.iterations() * kRecords);
+  state.counters["ns_per_record"] = ns_per_record;
+  emit_bench_json(offload ? "seal_batch_handoff_offload"
+                          : "seal_batch_handoff_inline",
+                  static_cast<int>(kRecords), ns_per_record);
+}
+BENCHMARK_CAPTURE(BM_SealBatchHandoff, inline, false)
+    ->UseManualTime()
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_SealBatchHandoff, offload, true)
+    ->UseManualTime()
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace qtls

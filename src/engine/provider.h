@@ -12,6 +12,7 @@
 // as OpenSSL's QAT Engine does, so the TLS code is identical either way.
 #pragma once
 
+#include <memory>
 #include <span>
 #include <string>
 
@@ -35,22 +36,43 @@ struct KeyShare {
   Bytes pub_point;  // SEC1 uncompressed encoding
 };
 
-// One record of a batched seal: sealed bytes are APPENDED to *out (the
-// caller pre-fills any prefix, e.g. the CBC explicit IV), so a provider can
-// encrypt directly into the output block with no staging copy.
+// One record of a batched seal (DESIGN.md §11). *out arrives empty and
+// leaves holding the sealed record body, with no staging copy: the software
+// provider encrypts straight into it, the QAT engine hands over the buffer
+// the op sealed into.
+//
+// `owner`, when set, keeps the plaintext's memory alive and unchanged for as
+// long as it is held: a provider may borrow the plaintext past the call (an
+// op abandoned at its deadline may still be computed later). Without an
+// owner such a provider copies the plaintext first.
+//
+// The constructors keep `{seq, header, iv, fragment, &out}` and
+// `{nonce, aad, plaintext, &out}` initializing a job with no owner.
 struct CipherSealJob {
+  CipherSealJob() = default;
+  CipherSealJob(uint64_t s, BytesView h, BytesView v, BytesView f, Bytes* o,
+                std::shared_ptr<const void> own = nullptr)
+      : seq(s), header(h), iv(v), fragment(f), out(o), owner(std::move(own)) {}
+
   uint64_t seq = 0;
   BytesView header;    // 5-byte record header with the true fragment length
-  BytesView iv;        // explicit IV (also the first bytes of *out)
+  BytesView iv;        // explicit IV (the wire carries it before the body)
   BytesView fragment;  // plaintext
   Bytes* out = nullptr;
+  std::shared_ptr<const void> owner;  // of `fragment`'s bytes; may be null
 };
 
 struct AeadSealJob {
+  AeadSealJob() = default;
+  AeadSealJob(BytesView n, BytesView a, BytesView p, Bytes* o,
+              std::shared_ptr<const void> own = nullptr)
+      : nonce(n), aad(a), plaintext(p), out(o), owner(std::move(own)) {}
+
   BytesView nonce;      // per-record nonce (static iv XOR seq)
   BytesView aad;        // additional data with the protected length
   BytesView plaintext;  // fragment
   Bytes* out = nullptr;
+  std::shared_ptr<const void> owner;  // of `plaintext`'s bytes; may be null
 };
 
 class CryptoProvider {
@@ -89,9 +111,10 @@ class CryptoProvider {
   virtual Result<Bytes> aead_open(BytesView key, BytesView nonce,
                                   BytesView aad, BytesView ciphertext) = 0;
 
-  // Batched record seal: seal every job, appending into job.out. The
-  // software provider seals straight into job.out and the QAT engine
-  // submits the whole span as ONE device batch (qat submit_batch, §3.2).
+  // Batched record seal: seal every job into its empty job.out. The
+  // software provider seals straight into job.out; the QAT engine submits
+  // the whole span as ONE device batch (qat submit_batch, §3.2) and hands
+  // each record's sealed buffer over as job.out.
   virtual Status cipher_seal_batch(const CbcHmacKeys& keys,
                                    std::span<CipherSealJob> jobs) = 0;
   virtual Status aead_seal_batch(BytesView key,
@@ -99,8 +122,9 @@ class CryptoProvider {
 };
 
 // The TX copy meter's "record.bytes_copied" counter (DESIGN.md §11): every
-// staging copy on the TX path adds to it, in the record layer and where the
-// QAT engine appends a retrieved seal result into the output block.
+// pass that copies payload bytes on the TX path adds to it — the record
+// layer's staging copies, and the QAT engine's copy of an owner-less seal
+// job's plaintext.
 obs::Counter& record_bytes_copied();
 
 // Pure-CPU provider; also the fallback inside the QAT engine for algorithms

@@ -184,7 +184,7 @@ void QatEngineProvider::expire(OpState& s) {
   s.stage.store(kAbandoned, std::memory_order_release);
   inflight_[s.cls].fetch_sub(1, std::memory_order_release);
   ++stats_.deadline_expiries;
-  if (s.wctx) s.wctx->notify();
+  s.dispatch->hop_done();
 }
 
 void QatEngineProvider::sweep_deadlines(uint64_t now) {
@@ -380,9 +380,9 @@ std::string QatEngineProvider::lanes_json() const {
 
 void QatEngineProvider::OpState::finish() {
   stage.store(kDone, std::memory_order_release);
-  // Async event notification (§3.4): kernel-bypass callback if set on the
-  // wait context, otherwise the notification FD.
-  if (wctx) wctx->notify();
+  // Async event notification (§3.4), once per dispatch: kernel-bypass
+  // callback if set on the wait context, otherwise the notification FD.
+  dispatch->hop_done();
   stage.store(kSettled, std::memory_order_release);
 }
 
@@ -474,6 +474,7 @@ void QatEngineProvider::submit_to_device(qat::OpKind kind,
 
   // A single op's request lives on the stack: no allocation for the span.
   const size_t n = ops.size();
+  auto dispatch = std::make_shared<Dispatch>(n, wctx);
   qat::CryptoRequest single;
   std::vector<qat::CryptoRequest> many(n > 1 ? n : 0);
   std::span<qat::CryptoRequest> reqs =
@@ -489,7 +490,7 @@ void QatEngineProvider::submit_to_device(qat::OpKind kind,
     // referenced by a late device response, so it is never reused.
     auto state = std::make_shared<OpState>();
     state->compute = op.compute;
-    state->wctx = wctx;
+    state->dispatch = dispatch;
     state->cls = cls;
     op.hop = state;
     // Counted before submission so the heuristic poller sees the request
@@ -582,6 +583,10 @@ void QatEngineProvider::submit_to_device(qat::OpKind kind,
         obs::stamp_now(s->trace, obs::Stage::kFiberResume);
         obs::record_pipeline(s->trace, s->req_id, s->cls, /*sim=*/false);
       }
+      // Retrieved: the device is done with the compute, so its inputs (a
+      // borrowed plaintext's owner among them) are released here, on the
+      // waiter's thread.
+      s->compute = nullptr;
       if (!qat::is_device_failure(s->dev_status)) {
         // kSuccess, or kComputeError (a deterministic input failure — the
         // device worked; the result carries the error to the caller).
@@ -624,14 +629,15 @@ void QatEngineProvider::submit_to_remote(qat::OpClass cls,
       deadline_after_us(config_.remote_op_deadline_us);
 
   // N submits, ONE flush: the records leave as a single frame — the remote
-  // mirror of the submit_batch() dispatch. A single op flushes at once too:
-  // a half-built handshake is latency-bound and never waits out the
-  // coalescing window.
+  // mirror of the submit_batch() dispatch, and like it one wake. A single op
+  // flushes at once too: a half-built handshake is latency-bound and never
+  // waits out the coalescing window.
+  auto dispatch = std::make_shared<Dispatch>(n, wctx);
   size_t submitted = 0;
   for (Op& op : ops) {
     if (op.settled) continue;
     auto state = std::make_shared<OpState>();
-    state->wctx = wctx;
+    state->dispatch = dispatch;
     op.hop = state;
     ++stats_.remote_ops;
     if (remote_->submit(op.remote_op, op.encode(), deadline_ns,
@@ -643,8 +649,10 @@ void QatEngineProvider::submit_to_remote(qat::OpClass cls,
       ++submitted;
     } else {
       // A dead channel never completes this submit (earlier ones got their
-      // kChannelDown completions already); settle it here.
+      // kChannelDown completions already); settle it here. The caller has
+      // not parked yet, so the count-down wakes no one.
       state->stage.store(kSettled, std::memory_order_release);
+      dispatch->left.fetch_sub(1, std::memory_order_acq_rel);
     }
   }
   if (submitted > 0) {
@@ -727,9 +735,10 @@ qat::OpKind QatEngineProvider::ec_op_kind(CurveId curve) {
 }
 
 // Each op copies its inputs once into a record that the device closure and
-// the remote encoder share: the closures must be self-contained, because an
-// abandoned op's compute may still run on an engine thread after the call
-// returned.
+// the remote encoder share (a seal batch's record borrows its plaintext
+// through the job's owner instead): the closures must be self-contained,
+// because an abandoned op's compute may still run on an engine thread after
+// the call returned.
 
 Result<Bytes> QatEngineProvider::rsa_sign(const RsaPrivateKey& key,
                                           BytesView digest) {
@@ -862,17 +871,41 @@ Result<Bytes> QatEngineProvider::prf_tls12(HashAlg alg, BytesView secret,
 }
 
 namespace {
+// A record's text as its op reads it, possibly after the call returned: a
+// view plus what keeps the bytes alive — the caller's owner when it lends
+// one, else a copy the op owns.
+struct Held {
+  std::shared_ptr<const void> owner;
+  BytesView bytes;
+};
+
+Held hold_copy(BytesView v) {
+  auto copy = std::make_shared<const Bytes>(v.begin(), v.end());
+  const BytesView bytes(*copy);
+  return {std::move(copy), bytes};
+}
+
+// A seal batch's plaintext: borrowed through the job's owner, or copied —
+// a pass over the payload, so metered.
+Held hold_plaintext(BytesView v, const std::shared_ptr<const void>& owner) {
+  if (owner) return {owner, v};
+  record_bytes_copied().add(v.size());
+  return hold_copy(v);
+}
+
 // Inputs of one CBC-HMAC record op.
 struct CbcIn {
   std::shared_ptr<const CbcHmacKeys> keys;  // shared by a batch's records
   uint64_t seq;
-  Bytes header, iv, text;
+  Bytes header, iv;
+  Held text;
 };
 
 // Inputs of one AEAD record op.
 struct AeadIn {
   std::shared_ptr<const Bytes> key;  // shared by a batch's records
-  Bytes nonce, aad, text;
+  Bytes nonce, aad;
+  Held text;
 };
 
 Bytes owned(BytesView v) { return Bytes(v.begin(), v.end()); }
@@ -885,15 +918,16 @@ Result<Bytes> QatEngineProvider::cipher_seal(const CbcHmacKeys& keys,
     return fallback_.cipher_seal(keys, seq, header, iv, fragment);
   auto in = std::make_shared<const CbcIn>(
       CbcIn{std::make_shared<const CbcHmacKeys>(keys), seq, owned(header),
-            owned(iv), owned(fragment)});
+            owned(iv), hold_copy(fragment)});
   return offload(
       qat::OpKind::kCipher16k, remote::RemoteOp::kCipherSeal,
       [in]() -> Result<Bytes> {
-        return cbc_hmac_seal(*in->keys, in->seq, in->header, in->iv, in->text);
+        return cbc_hmac_seal(*in->keys, in->seq, in->header, in->iv,
+                             in->text.bytes);
       },
       [in] {
         return remote::encode_cipher_seal(*in->keys, in->seq, in->header,
-                                          in->iv, in->text);
+                                          in->iv, in->text.bytes);
       });
 }
 
@@ -906,15 +940,16 @@ Result<Bytes> QatEngineProvider::cipher_open(const CbcHmacKeys& keys,
     return fallback_.cipher_open(keys, seq, header_without_len, iv, ciphertext);
   auto in = std::make_shared<const CbcIn>(
       CbcIn{std::make_shared<const CbcHmacKeys>(keys), seq,
-            owned(header_without_len), owned(iv), owned(ciphertext)});
+            owned(header_without_len), owned(iv), hold_copy(ciphertext)});
   return offload(
       qat::OpKind::kCipher16k, remote::RemoteOp::kCipherOpen,
       [in]() -> Result<Bytes> {
-        return cbc_hmac_open(*in->keys, in->seq, in->header, in->iv, in->text);
+        return cbc_hmac_open(*in->keys, in->seq, in->header, in->iv,
+                             in->text.bytes);
       },
       [in] {
         return remote::encode_cipher_open(*in->keys, in->seq, in->header,
-                                          in->iv, in->text);
+                                          in->iv, in->text.bytes);
       });
 }
 
@@ -925,14 +960,15 @@ Result<Bytes> QatEngineProvider::aead_seal(BytesView key, BytesView nonce,
     return fallback_.aead_seal(key, nonce, aad, plaintext);
   auto in = std::make_shared<const AeadIn>(
       AeadIn{std::make_shared<const Bytes>(owned(key)), owned(nonce),
-             owned(aad), owned(plaintext)});
+             owned(aad), hold_copy(plaintext)});
   return offload(
       qat::OpKind::kCipher16k, remote::RemoteOp::kAeadSeal,
       [in]() -> Result<Bytes> {
-        return gcm_seal(*in->key, in->nonce, in->aad, in->text);
+        return gcm_seal(*in->key, in->nonce, in->aad, in->text.bytes);
       },
       [in] {
-        return remote::encode_aead_op(*in->key, in->nonce, in->aad, in->text);
+        return remote::encode_aead_op(*in->key, in->nonce, in->aad,
+                                      in->text.bytes);
       });
 }
 
@@ -943,28 +979,26 @@ Result<Bytes> QatEngineProvider::aead_open(BytesView key, BytesView nonce,
     return fallback_.aead_open(key, nonce, aad, ciphertext);
   auto in = std::make_shared<const AeadIn>(
       AeadIn{std::make_shared<const Bytes>(owned(key)), owned(nonce),
-             owned(aad), owned(ciphertext)});
+             owned(aad), hold_copy(ciphertext)});
   return offload(
       qat::OpKind::kCipher16k, remote::RemoteOp::kAeadOpen,
       [in]() -> Result<Bytes> {
-        return gcm_open(*in->key, in->nonce, in->aad, in->text);
+        return gcm_open(*in->key, in->nonce, in->aad, in->text.bytes);
       },
       [in] {
-        return remote::encode_aead_op(*in->key, in->nonce, in->aad, in->text);
+        return remote::encode_aead_op(*in->key, in->nonce, in->aad,
+                                      in->text.bytes);
       });
 }
 
 namespace {
-// Appends each record's result to its output block in caller order; the
-// first failed record fails the batch. The append is a metered staging copy
-// (the input marshalling into the compute closure models the device DMA
-// and is not counted).
+// Hands each record's sealed buffer over as its job's output block, in
+// caller order and whichever tier sealed it: a move, not a copy. The first
+// failed record fails the batch.
 template <typename Job, typename Ops>
-Status append_sealed(std::span<Job> jobs, Ops& ops) {
+Status hand_back(std::span<Job> jobs, Ops& ops) {
   for (size_t i = 0; i < jobs.size(); ++i) {
-    QTLS_ASSIGN_OR_RETURN(Bytes sealed, std::move(ops[i].result));
-    record_bytes_copied().add(sealed.size());
-    append(*jobs[i].out, sealed);
+    QTLS_ASSIGN_OR_RETURN(*jobs[i].out, std::move(ops[i].result));
   }
   return Status::ok();
 }
@@ -980,20 +1014,20 @@ Status QatEngineProvider::cipher_seal_batch(const CbcHmacKeys& keys,
   for (const CipherSealJob& job : jobs) {
     auto in = std::make_shared<const CbcIn>(
         CbcIn{shared_keys, job.seq, owned(job.header), owned(job.iv),
-              owned(job.fragment)});
+              hold_plaintext(job.fragment, job.owner)});
     ops.emplace_back(
         [in]() -> Result<Bytes> {
           return cbc_hmac_seal(*in->keys, in->seq, in->header, in->iv,
-                               in->text);
+                               in->text.bytes);
         },
         remote::RemoteOp::kCipherSeal,
         [in] {
           return remote::encode_cipher_seal(*in->keys, in->seq, in->header,
-                                            in->iv, in->text);
+                                            in->iv, in->text.bytes);
         });
   }
   run(qat::OpKind::kCipher16k, ops);
-  return append_sealed(jobs, ops);
+  return hand_back(jobs, ops);
 }
 
 Status QatEngineProvider::aead_seal_batch(BytesView key,
@@ -1004,20 +1038,21 @@ Status QatEngineProvider::aead_seal_batch(BytesView key,
   std::vector<Op> ops;
   ops.reserve(jobs.size());
   for (const AeadSealJob& job : jobs) {
-    auto in = std::make_shared<const AeadIn>(AeadIn{
-        shared_key, owned(job.nonce), owned(job.aad), owned(job.plaintext)});
+    auto in = std::make_shared<const AeadIn>(
+        AeadIn{shared_key, owned(job.nonce), owned(job.aad),
+               hold_plaintext(job.plaintext, job.owner)});
     ops.emplace_back(
         [in]() -> Result<Bytes> {
-          return gcm_seal(*in->key, in->nonce, in->aad, in->text);
+          return gcm_seal(*in->key, in->nonce, in->aad, in->text.bytes);
         },
         remote::RemoteOp::kAeadSeal,
         [in] {
           return remote::encode_aead_op(*in->key, in->nonce, in->aad,
-                                        in->text);
+                                        in->text.bytes);
         });
   }
   run(qat::OpKind::kCipher16k, ops);
-  return append_sealed(jobs, ops);
+  return hand_back(jobs, ops);
 }
 
 }  // namespace qtls::engine

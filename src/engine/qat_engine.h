@@ -225,7 +225,10 @@ class QatEngineProvider : public CryptoProvider {
   Result<Bytes> aead_open(BytesView key, BytesView nonce, BytesView aad,
                           BytesView ciphertext) override;
   // Batched record seal: the whole span goes to the device as ONE
-  // submit_batch() dispatch (one engine wakeup for N records, §3.2).
+  // submit_batch() dispatch (one engine wakeup for N records, §3.2) that
+  // wakes the fiber once. A job's op borrows its plaintext through the
+  // job's owner (copying, metered, only when there is none) and its sealed
+  // buffer becomes the job's output block.
   Status cipher_seal_batch(const CbcHmacKeys& keys,
                            std::span<CipherSealJob> jobs) override;
   Status aead_seal_batch(BytesView key, std::span<AeadSealJob> jobs) override;
@@ -303,6 +306,20 @@ class QatEngineProvider : public CryptoProvider {
   std::string remote_json() const;
 
  private:
+  // The hops of one dispatch — a device submit_batch(), or a remote hop's N
+  // submits — share one countdown: the waiter is notified once, by the last
+  // hop to finish or expire, so an N-record batch resumes its fiber once.
+  struct Dispatch {
+    Dispatch(size_t hops, asyncx::WaitCtx* w) : left(hops), wctx(w) {}
+    std::atomic<size_t> left;
+    asyncx::WaitCtx* wctx;  // the parked fiber's, else null
+    // One hop finished or expired; the last one wakes the waiter.
+    void hop_done() {
+      if (left.fetch_sub(1, std::memory_order_acq_rel) == 1 && wctx)
+        wctx->notify();
+    }
+  };
+
   // One hop of an op to the device or the remote tier. `stage` moves
   // kInFlight -> kDone -> kSettled in the completion callback, or
   // kInFlight -> kAbandoned in the deadline sweep. Both the device callback
@@ -314,11 +331,14 @@ class QatEngineProvider : public CryptoProvider {
     std::atomic<uint8_t> stage{0};
     qat::CryptoStatus dev_status = qat::CryptoStatus::kSuccess;
     remote::RemoteStatus remote_status = remote::RemoteStatus::kChannelDown;
-    std::function<Result<Bytes>()> compute;  // the device runs this
+    // The device runs this. Settling a retrieved hop clears it on the
+    // waiter's thread, so the inputs it holds are released there; an
+    // abandoned hop keeps it, and with it its inputs, for a late compute.
+    std::function<Result<Bytes>()> compute;
     // The device's result, or the remote response body.
     Result<Bytes> result = Status(Code::kInternal, "not computed");
-    asyncx::WaitCtx* wctx = nullptr;  // the parked fiber's, else null
-    uint64_t deadline_ns = 0;         // absolute steady-clock ns; 0 = none
+    std::shared_ptr<Dispatch> dispatch;  // shared by the dispatch's hops
+    uint64_t deadline_ns = 0;  // absolute steady-clock ns; 0 = none
     int cls = 0;                      // op class, for inflight accounting
     uint64_t req_id = 0;              // device request id (trace records)
     // Lifecycle stamps copied from the response in the callback; the
@@ -326,10 +346,11 @@ class QatEngineProvider : public CryptoProvider {
     // per-stage histograms (obs/trace.h).
     obs::TraceStamps trace;
 
-    // Publish the completion and wake the waiter. kSettled comes after the
-    // notify: the waiter's WaitCtx must outlive it. The notify must not
-    // resume the waiter inline (WaitCtx callbacks queue the handler), or
-    // the waiter would wait on this very call.
+    // Publish the completion and count it down on the dispatch, which wakes
+    // the waiter after the last hop. kSettled comes after the notify: the
+    // waiter's WaitCtx must outlive it. The notify must not resume the
+    // waiter inline (WaitCtx callbacks queue the handler), or the waiter
+    // would wait on this very call.
     void finish();
   };
 
@@ -425,7 +446,7 @@ class QatEngineProvider : public CryptoProvider {
   bool other_lane_available(int device_id) const;
 
   // Expire an in-flight device hop: mark it abandoned, release the inflight
-  // slot, wake the waiter.
+  // slot, count it down on its dispatch.
   void expire(OpState& s);
   // Expire past-deadline ops. Called from poll().
   void sweep_deadlines(uint64_t now);

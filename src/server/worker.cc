@@ -615,26 +615,32 @@ void Worker::finish_file(Conn* conn) {
 }
 
 tls::TlsResult Worker::stream_file(Conn* conn) {
-  // Bounded staging: pread one chunk, hand it to the TLS layer (which seals
-  // it as one record batch), repeat. A kWantAsync/kWantWrite return parks
-  // the connection mid-file; the resume path finishes the in-flight write
-  // and re-enters this loop at file_off.
-  while (conn->file_left > 0) {
+  // Bounded staging: pread one chunk after whatever the staging block
+  // already holds (the response head, on the first pass, so head and chunk
+  // seal as one record batch), hand it to the TLS layer, repeat. A
+  // kWantAsync/kWantWrite return parks the connection mid-file; the resume
+  // path finishes the in-flight write and re-enters this loop at file_off.
+  while (conn->file_left > 0 || !conn->file_staging.empty()) {
+    const size_t lead = conn->file_staging.size();
     const size_t chunk = std::min(conn->file_left, kFileReadChunk);
-    conn->file_staging.resize(chunk);
-    const ssize_t n = ::pread(conn->file_fd, conn->file_staging.data(), chunk,
-                              static_cast<off_t>(conn->file_off));
-    if (n <= 0) {
-      // Truncated under us or I/O error: the head already promised
-      // Content-Length bytes, so the only honest move is to kill the
-      // connection.
-      finish_file(conn);
-      return tls::TlsResult::kError;
+    if (chunk > 0) {
+      conn->file_staging.resize(lead + chunk);
+      const ssize_t n =
+          ::pread(conn->file_fd, conn->file_staging.data() + lead, chunk,
+                  static_cast<off_t>(conn->file_off));
+      if (n <= 0) {
+        // Truncated under us or I/O error: the head promised
+        // Content-Length bytes, so the only honest move is to kill the
+        // connection.
+        finish_file(conn);
+        return tls::TlsResult::kError;
+      }
+      conn->file_staging.resize(lead + static_cast<size_t>(n));
+      conn->file_off += static_cast<size_t>(n);
+      conn->file_left -= static_cast<size_t>(n);
     }
-    conn->file_staging.resize(static_cast<size_t>(n));
-    conn->file_off += static_cast<size_t>(n);
-    conn->file_left -= static_cast<size_t>(n);
     const tls::TlsResult r = conn->tls->write(conn->file_staging);
+    conn->file_staging.clear();
     if (r != tls::TlsResult::kOk) return r;
   }
   finish_file(conn);
@@ -653,13 +659,13 @@ void Worker::write_handler(Conn* conn) {
     conn->response_inflight = false;
     conn->write_in_progress = true;
     if (!config_.file_root.empty() && conn->endpoint == Endpoint::kFile) {
-      // Static-file path: head first (Content-Length from fstat), then the
-      // streamed body. Resolution failure is a 404 through the buffered
-      // builder — error bodies are tiny.
+      // Static-file path: the head (Content-Length from fstat) leads the
+      // streamed body's first chunk. Resolution failure is a 404 through
+      // the buffered builder — error bodies are tiny.
       if (open_static_file(conn)) {
-        r = conn->tls->write(build_http_response_head(
-            200, conn->file_left, conn->response_keepalive));
-        if (r == tls::TlsResult::kOk) r = stream_file(conn);
+        conn->file_staging = build_http_response_head(
+            200, conn->file_left, conn->response_keepalive);
+        r = stream_file(conn);
       } else {
         r = conn->tls->write(
             build_http_response(404, {}, conn->response_keepalive));

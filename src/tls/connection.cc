@@ -1,5 +1,7 @@
 #include "tls/connection.h"
 
+#include <atomic>
+
 #include "common/log.h"
 
 namespace qtls::tls {
@@ -103,7 +105,8 @@ void TlsConnection::maybe_release_handshake_state() {
 size_t TlsConnection::heap_footprint() const {
   size_t n = records_.heap_footprint();
   if (hs_ != nullptr) n += sizeof(HandshakeScratch) + hs_->heap_footprint();
-  n += resumption_master13_.capacity() + write_data_.capacity();
+  n += resumption_master13_.capacity();
+  if (write_buf_) n += write_buf_->capacity();
   if (established_session_.has_value())
     n += established_session_->session_id.capacity() +
          established_session_->ticket.capacity() +
@@ -1126,13 +1129,23 @@ int TlsConnection::read_entry(TlsConnection* self) {
 }
 
 TlsResult TlsConnection::write(BytesView data) {
-  // A paused write job still references write_data_; only accept new data
-  // when idle (resume calls pass anything, conventionally empty).
+  // A paused write job still references the write buffer; only accept new
+  // data when idle (resume calls pass anything, conventionally empty).
   if (job_ == nullptr) {
-    write_data_.assign(data.begin(), data.end());
-    // TX staging copy above the record layer — metered so the data plane's
-    // bytes-copied-per-byte covers the whole path (DESIGN.md §11).
-    records_.note_staging_copy(data.size());
+    write_pending_ = !data.empty();
+    if (write_pending_) {
+      if (write_buf_ && write_buf_.use_count() == 1) {
+        // No seal op holds the buffer any more. The last one may have let
+        // go on an engine thread: order its reads before these writes.
+        std::atomic_thread_fence(std::memory_order_acquire);
+      } else {
+        write_buf_ = std::make_shared<Bytes>();
+      }
+      write_buf_->assign(data.begin(), data.end());
+      // TX staging copy above the record layer — metered so the data
+      // plane's bytes-copied-per-byte covers the whole path (DESIGN.md §11).
+      records_.note_staging_copy(data.size());
+    }
   }
   return run_entry(&write_entry);
 }
@@ -1140,16 +1153,18 @@ TlsResult TlsConnection::write(BytesView data) {
 int TlsConnection::write_entry(TlsConnection* self) {
   if (self->hs_state_ != HsState::kDone)
     return to_int(TlsResult::kError);
-  if (!self->write_data_.empty()) {
+  if (self->write_pending_) {
+    const Bytes& data = *self->write_buf_;
     const size_t fragments =
-        (self->write_data_.size() + kMaxPlaintextFragment - 1) /
-        kMaxPlaintextFragment;
+        (data.size() + kMaxPlaintextFragment - 1) / kMaxPlaintextFragment;
+    // The buffer rides every seal job as its owner: the provider borrows
+    // the plaintext instead of copying it.
     if (!self->records_
-             .queue(ContentType::kApplicationData, self->write_data_)
+             .queue(ContentType::kApplicationData, data, self->write_buf_)
              .is_ok())
       return to_int(TlsResult::kError);
     self->ops_.cipher += static_cast<int>(fragments);
-    self->write_data_.clear();
+    self->write_pending_ = false;
   }
   return to_int(self->records_.flush());
 }

@@ -246,7 +246,12 @@ class TlsConnection {
   // Entry-point scratch: parameters of the in-flight read()/write() call so
   // the fiber can be resumed by re-invoking the same entry point.
   Bytes* read_out_ = nullptr;
-  Bytes write_data_;
+  // The write buffer, filled by write(). Once queued it is the owner the
+  // record seal ops borrow their plaintext through, and it stays unchanged
+  // while any op holds it (one abandoned at its deadline may still read
+  // it); a new write reuses it only when no op does.
+  std::shared_ptr<Bytes> write_buf_;
+  bool write_pending_ = false;  // write_buf_ holds bytes not yet queued
   AlertLevel alert_level_ = AlertLevel::kFatal;
   AlertDescription alert_desc_ = AlertDescription::kInternalError;
 

@@ -1,5 +1,7 @@
 #include "tls/record.h"
 
+#include <algorithm>
+#include <iterator>
 #include <vector>
 
 #include "common/log.h"
@@ -58,14 +60,27 @@ void append_record_header(Bytes& out, ContentType type, size_t wire_len) {
   append_u16(out, static_cast<uint16_t>(ProtocolVersion::kTls12));
   append_u16(out, static_cast<uint16_t>(wire_len));
 }
+
+// The same header, written over the first 5 bytes of `head`.
+void put_record_header(Bytes& head, ContentType type, size_t wire_len) {
+  constexpr auto kVersion = static_cast<uint16_t>(ProtocolVersion::kTls12);
+  head[0] = static_cast<uint8_t>(type);
+  head[1] = static_cast<uint8_t>(kVersion >> 8);
+  head[2] = static_cast<uint8_t>(kVersion);
+  head[3] = static_cast<uint8_t>(wire_len >> 8);
+  head[4] = static_cast<uint8_t>(wire_len);
+}
 }  // namespace
 
-Status RecordLayer::queue(ContentType type, BytesView payload) {
-  return queue_many(type, std::span<const BytesView>(&payload, 1));
+Status RecordLayer::queue(ContentType type, BytesView payload,
+                          std::shared_ptr<const void> owner) {
+  return queue_many(type, std::span<const BytesView>(&payload, 1),
+                    std::move(owner));
 }
 
 Status RecordLayer::queue_many(ContentType type,
-                               std::span<const BytesView> payloads) {
+                               std::span<const BytesView> payloads,
+                               std::shared_ptr<const void> owner) {
   // Fragment: a payload larger than 16 KB becomes multiple records — each
   // one is one chained-cipher op once encryption is on (paper §5.4:
   // "one 128 KB file incurs eight cipher operations").
@@ -92,7 +107,7 @@ Status RecordLayer::queue_many(ContentType type,
   }
   // All fragments of this call go to the provider as ONE batch (a single
   // submit_batch() dispatch on the QAT backend, an inline loop in software).
-  return seal_batch_into_chain(type, fragments);
+  return seal_batch_into_chain(type, fragments, owner);
 }
 
 void RecordLayer::queue_plaintext(ContentType type, BytesView fragment) {
@@ -109,11 +124,14 @@ void RecordLayer::queue_plaintext(ContentType type, BytesView fragment) {
 }
 
 Status RecordLayer::seal_batch_into_chain(
-    ContentType type, const std::vector<BytesView>& fragments) {
+    ContentType type, const std::vector<BytesView>& fragments,
+    const std::shared_ptr<const void>& owner) {
   const size_t n = fragments.size();
-  // Blocks are built aside and spliced in only if the whole batch seals, so
-  // a failed seal queues nothing. A deque keeps Bytes addresses stable
-  // while the provider appends into them.
+  // Each record is a head block and an empty body block the provider seals
+  // into (or replaces with its own sealed buffer). The blocks are built
+  // aside and spliced in only if the whole batch seals, so a failed seal
+  // queues nothing; a deque keeps Bytes addresses stable while jobs point
+  // into them.
   std::deque<TxBlock> pending;
   Status sealed = Status::ok();
 
@@ -122,41 +140,41 @@ Status RecordLayer::seal_batch_into_chain(
     std::vector<engine::CipherSealJob> jobs(n);
     for (size_t i = 0; i < n; ++i) {
       append_record_header(headers[i], type, fragments[i].size());
-      TxBlock body;
-      // One allocation per record: IV + ciphertext (fragment + MAC + pad).
-      body.data.reserve(kIvSize + fragments[i].size() + 80);
-      body.data.resize(kIvSize);  // explicit IV prefixes the wire payload
-      iv_rng_->generate(body.data.data(), kIvSize);
-      pending.push_back(std::move(body));
-      Bytes* out = &pending.back().data;
-      jobs[i] = {tx_.seq + i, headers[i], BytesView(out->data(), kIvSize),
-                 fragments[i], out};
+      // The explicit IV leads the wire payload, so it rides the head block.
+      Bytes& head = pending.emplace_back().data;
+      head.resize(kHeaderSize + kIvSize);
+      iv_rng_->generate(head.data() + kHeaderSize, kIvSize);
+      Bytes& body = pending.emplace_back().data;
+      jobs[i] = {tx_.seq + i, headers[i],
+                 BytesView(head.data() + kHeaderSize, kIvSize), fragments[i],
+                 &body, owner};
     }
     sealed = provider_->cipher_seal_batch(tx_.keys, jobs);
   } else {
     std::vector<Bytes> nonces(n);
-    std::vector<Bytes> aads(n);  // AAD carries the protected length
     std::vector<engine::AeadSealJob> jobs(n);
     for (size_t i = 0; i < n; ++i) {
       nonces[i] = aead_nonce(tx_.aead.iv, tx_.seq + i);
-      append_record_header(aads[i], type, fragments[i].size() + kGcmTagSize);
-      pending.emplace_back();
-      jobs[i] = {nonces[i], aads[i], fragments[i], &pending.back().data};
+      // The AAD is the record header itself, with the protected length.
+      Bytes& head = pending.emplace_back().data;
+      append_record_header(head, type, fragments[i].size() + kGcmTagSize);
+      Bytes& body = pending.emplace_back().data;
+      jobs[i] = {nonces[i], head, fragments[i], &body, owner};
     }
     sealed = provider_->aead_seal_batch(tx_.aead.key, jobs);
   }
   QTLS_RETURN_IF_ERROR(sealed);
 
-  // Seals landed: frame each payload block with its outer header (written
-  // only now — the CBC wire length depends on MAC + padding) and splice.
+  // Seals landed: write each record's wire length (known only now — the CBC
+  // length depends on MAC + padding) and splice.
   tx_.seq += n;
   records_sent_ += n;
-  for (TxBlock& body : pending) {
-    TxBlock header;
-    append_record_header(header.data, type, body.data.size());
-    send_chain_.push_back(std::move(header));
-    send_chain_.push_back(std::move(body));
+  for (size_t i = 0; i < pending.size(); i += 2) {
+    Bytes& head = pending[i].data;
+    put_record_header(head, type,
+                      head.size() - kHeaderSize + pending[i + 1].data.size());
   }
+  std::move(pending.begin(), pending.end(), std::back_inserter(send_chain_));
   return Status::ok();
 }
 

@@ -3,14 +3,17 @@
 // explicit-IV CBC + HMAC, and non-blocking buffered transport I/O.
 //
 // TX data plane (DESIGN.md §11): queued records live in an iovec chain of
-// blocks (a 5-byte header block + a sealed payload block per record, never
-// coalesced); multi-fragment payloads are sealed through the provider's
-// batched seal APIs (ONE device submission for N records), and the provider
-// encrypts directly into each record's payload block. flush() gathers the
-// chain into writev() with per-block partial-write offsets.
+// blocks (a head block — the 5-byte header, plus the explicit IV under
+// CBC — and a sealed payload block per record, never coalesced);
+// multi-fragment payloads are sealed through the provider's batched seal
+// APIs (ONE device submission for N records), and the provider encrypts
+// directly into each record's empty payload block or hands its own sealed
+// buffer over as that block. flush() gathers the chain into writev() with
+// per-block partial-write offsets.
 #pragma once
 
 #include <deque>
+#include <memory>
 #include <optional>
 #include <span>
 
@@ -52,11 +55,16 @@ class RecordLayer {
   // Queue a plaintext fragment for sending (fragments > 16 KB are split).
   // Encryption happens at queue time (counts cipher ops); all fragments of
   // one call are sealed in ONE batched provider submission. The bytes then
-  // sit in the send chain until flushed.
-  Status queue(ContentType type, BytesView payload);
+  // sit in the send chain until flushed. `owner`, when set, keeps the
+  // payload's bytes alive and unchanged while it is held: it rides every
+  // seal job, so the provider borrows the plaintext instead of copying it.
+  Status queue(ContentType type, BytesView payload,
+               std::shared_ptr<const void> owner = nullptr);
   // Queue several payloads at once: every fragment of every payload joins a
   // single record batch (one provider submission for the whole span).
-  Status queue_many(ContentType type, std::span<const BytesView> payloads);
+  // `owner`, when set, keeps every payload's bytes alive.
+  Status queue_many(ContentType type, std::span<const BytesView> payloads,
+                    std::shared_ptr<const void> owner = nullptr);
   // Push buffered bytes into the transport. kOk = drained, kWantWrite =
   // transport backpressure.
   TlsResult flush();
@@ -128,7 +136,8 @@ class RecordLayer {
 
   // Seal `fragments` (each <= 16 KB) as one record batch into the chain.
   Status seal_batch_into_chain(ContentType type,
-                               const std::vector<BytesView>& fragments);
+                               const std::vector<BytesView>& fragments,
+                               const std::shared_ptr<const void>& owner);
   void queue_plaintext(ContentType type, BytesView fragment);
   void compact_recv_buffer();
   void count_copy(size_t n);

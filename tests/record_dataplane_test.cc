@@ -9,13 +9,21 @@
 //  * RX compaction — many small records must not shift or reallocate the
 //    receive buffer per record;
 //  * QAT batching — a multi-fragment payload must reach the engine as ONE
-//    submit_batch dispatch carrying all of its records;
+//    submit_batch dispatch carrying all of its records, wake a parked fiber
+//    once, copy no payload byte when its owner rides the jobs, and put the
+//    software provider's wire on the pipe;
+//  * abandoned batch — a batch expired at its deadline stays memory-safe
+//    when its writer lets go before the device computes it (run it in the
+//    ASan+UBSan tree);
 //  * static-file streaming — the worker's file_root path serves files in
 //    bounded chunks, 404s misses, and rejects traversal.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
+#include <functional>
+#include <memory>
 #include <random>
 
 #include "crypto/gcm.h"
@@ -23,6 +31,8 @@
 #include "engine/provider.h"
 #include "engine/qat_engine.h"
 #include "net/memory_transport.h"
+#include "obs/metrics.h"
+#include "qat/fault.h"
 #include "server_test_util.h"
 #include "tls/record.h"
 
@@ -275,43 +285,208 @@ TEST(RecordDataPlane, RxCompactionAmortized) {
   EXPECT_LE(b.recv_buffer_capacity(), 64u * 1024);
 }
 
-// A 64 KB payload fragments into four records which must reach the QAT
-// engine as ONE submit_batch dispatch (acceptance: batches > 1 op).
-TEST(RecordDataPlane, QatSealBatchCarriesAllFragments) {
+uint64_t registry_bytes_copied() {
+  return obs::MetricsRegistry::global().snapshot().counter_value(
+      "record.bytes_copied");
+}
+
+// Runs `fn` in an async job driven the way a worker drives one: poll the
+// engine, and resume the fiber only when its WaitCtx was notified. Returns
+// the number of notifications; fails the test when the job does not finish.
+int run_like_worker(engine::QatEngineProvider& qat,
+                    const std::function<void()>& fn) {
+  struct Wakes {
+    int count = 0;
+    bool pending = false;
+  } wakes;
+  asyncx::WaitCtx wctx;
+  wctx.set_callback(
+      [](void* arg) {
+        auto* w = static_cast<Wakes*>(arg);
+        ++w->count;
+        w->pending = true;
+      },
+      &wakes);
+  asyncx::AsyncJob* job = nullptr;
+  int ret = 0;
+  asyncx::JobStatus status = asyncx::start_job(&job, &wctx, &ret, [&] {
+    fn();
+    return 1;
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (status == asyncx::JobStatus::kPaused &&
+         std::chrono::steady_clock::now() < deadline) {
+    qat.poll();
+    if (!wakes.pending) continue;
+    wakes.pending = false;
+    status = asyncx::start_job(&job, &wctx, &ret, nullptr);
+  }
+  EXPECT_EQ(status, asyncx::JobStatus::kFinished);
+  return wakes.count;
+}
+
+Bytes drain_pipe(net::MemoryPipe& pipe) {
+  Bytes wire;
+  uint8_t buf[4096];
+  for (;;) {
+    const auto io = pipe.b().read(buf, sizeof(buf));
+    if (io.status != IoStatus::kOk || io.bytes == 0) return wire;
+    wire.insert(wire.end(), buf, buf + io.bytes);
+  }
+}
+
+// A 64 KB payload fragments into four records, which must reach the QAT
+// engine as ONE submit_batch dispatch, in both suites and both offload
+// modes. The async rows run like the worker: the dispatch wakes the parked
+// fiber once, not once per record. The payload's owner rides the jobs, so
+// the engine borrows the plaintext and hands its sealed buffers over as
+// the output blocks: the registry's copy meter does not move. (Under
+// -DQTLS_OBS=OFF the registry reads 0 before and after, so that check
+// holds trivially there.) The wire is byte-identical to the
+// SoftwareProvider rig's and decodes back to the payload.
+void run_qat_seal_batch(bool aead, engine::OffloadMode mode) {
   qat::DeviceConfig dcfg;
   dcfg.num_endpoints = 1;
   dcfg.engines_per_endpoint = 8;
   qat::QatDevice device(dcfg);
   engine::QatEngineConfig qcfg;
-  qcfg.offload_mode = engine::OffloadMode::kSync;  // self-polls, no fibers
+  qcfg.offload_mode = mode;  // kSync self-polls, no fibers
   engine::QatEngineProvider qat(device.allocate_instance(), qcfg);
 
-  net::MemoryPipe pipe;
+  // The layer under test and the software reference share keys and the
+  // CBC IV seed, so their wires must match byte for byte.
+  net::MemoryPipe qat_pipe, sw_pipe;
   engine::SoftwareProvider sw{7};
-  HmacDrbg rng_a{HashAlg::kSha256, to_bytes("qa")};
-  HmacDrbg rng_b{HashAlg::kSha256, to_bytes("qb")};
-  RecordLayer a{&pipe.a(), &qat, &rng_a};
-  RecordLayer b{&pipe.b(), &sw, &rng_b};
-  const CbcHmacKeys keys = test_cbc_keys();
-  a.enable_encryption_tx(keys);
-  b.enable_encryption_rx(keys);
+  HmacDrbg qat_rng{HashAlg::kSha256, to_bytes("qa")};
+  HmacDrbg sw_rng{HashAlg::kSha256, to_bytes("qa")};
+  RecordLayer a{&qat_pipe.a(), &qat, &qat_rng};
+  RecordLayer ref{&sw_pipe.a(), &sw, &sw_rng};
+  if (aead) {
+    a.enable_encryption_tx(test_aead_keys());
+    ref.enable_encryption_tx(test_aead_keys());
+  } else {
+    a.enable_encryption_tx(test_cbc_keys());
+    ref.enable_encryption_tx(test_cbc_keys());
+  }
 
-  const Bytes big(64 * 1024, 0x7e);  // exactly 4 × 16 KB fragments
-  ASSERT_TRUE(a.queue(ContentType::kApplicationData, big).is_ok());
-  ASSERT_EQ(a.flush(), TlsResult::kOk);
+  auto big = std::make_shared<Bytes>(64 * 1024);  // exactly 4 × 16 KB
+  for (size_t i = 0; i < big->size(); ++i)
+    (*big)[i] = static_cast<uint8_t>(i * 7 + 1);
+
+  const uint64_t copied_before = registry_bytes_copied();
+  if (mode == engine::OffloadMode::kSync) {
+    ASSERT_TRUE(a.queue(ContentType::kApplicationData, *big, big).is_ok());
+  } else {
+    Status st = err(Code::kInternal, "not run");
+    const int wakes = run_like_worker(qat, [&] {
+      st = a.queue(ContentType::kApplicationData, *big, big);
+    });
+    ASSERT_TRUE(st.is_ok()) << st.to_string();
+    EXPECT_EQ(wakes, 1) << "one dispatch, one wake";
+  }
+  EXPECT_EQ(registry_bytes_copied(), copied_before)
+      << "an owned payload is borrowed, and sealed buffers are handed over";
+  EXPECT_EQ(a.bytes_copied(), 0u);
 
   const engine::QatEngineStats& stats = qat.stats();
-  EXPECT_GE(stats.seal_batches, 1u);
+  EXPECT_EQ(stats.seal_batches, 1u);
   EXPECT_EQ(stats.max_seal_batch, 4u);
-  EXPECT_GE(stats.seal_batch_ops, 4u);
+  EXPECT_EQ(stats.seal_batch_ops, 4u);
+  EXPECT_EQ(stats.sw_fallbacks, 0u);
 
+  ASSERT_TRUE(ref.queue(ContentType::kApplicationData, *big).is_ok());
+  ASSERT_EQ(a.flush(), TlsResult::kOk);
+  ASSERT_EQ(ref.flush(), TlsResult::kOk);
+  const Bytes wire = drain_pipe(qat_pipe);
+  EXPECT_EQ(wire, drain_pipe(sw_pipe))
+      << "wire divergence between the QAT and software seal";
+
+  net::MemoryPipe rx_pipe;
+  HmacDrbg rx_rng{HashAlg::kSha256, to_bytes("qb")};
+  RecordLayer b{&rx_pipe.b(), &sw, &rx_rng};
+  if (aead) {
+    b.enable_encryption_rx(test_aead_keys());
+  } else {
+    b.enable_encryption_rx(test_cbc_keys());
+  }
+  ASSERT_EQ(rx_pipe.a().write(wire.data(), wire.size()).status, IoStatus::kOk);
   Bytes decoded;
-  while (decoded.size() < big.size()) {
+  while (decoded.size() < big->size()) {
     const auto outcome = b.read_record();
     ASSERT_TRUE(outcome.record.has_value());
     append(decoded, outcome.record->payload);
   }
-  EXPECT_EQ(decoded, big);
+  EXPECT_EQ(decoded, *big);
+}
+
+TEST(RecordDataPlane, QatSealBatchCarriesAllFragments) {
+  for (const bool aead : {false, true}) {
+    for (const auto mode :
+         {engine::OffloadMode::kSync, engine::OffloadMode::kAsync}) {
+      SCOPED_TRACE(std::string(aead ? "AEAD" : "CBC-HMAC") +
+                   (mode == engine::OffloadMode::kSync ? " sync" : " async"));
+      run_qat_seal_batch(aead, mode);
+    }
+  }
+}
+
+// A seal batch abandoned at its deadline, whose writer lets go before the
+// device computes it: the one engine stalls on the batch's second record
+// (a one-shot FaultPlan stall) far past the 5 ms op deadline, the batch
+// fails (no software fallback), and the writer drops its payload and its
+// record layer, pending blocks included. The engine then computes the
+// stalled records, reading plaintext the ops still own; ASan would report a
+// use-after-free if they had borrowed it without the owner. The engine's
+// books balance once the late responses are drained.
+TEST(RecordDataPlane, AbandonedSealBatchOutlivesItsWriter) {
+  qat::FaultPlan plan;
+  plan.schedule(qat::OpKind::kCipher16k, 2, qat::FaultKind::kStall,
+                /*stall_ns=*/100'000'000);
+  qat::DeviceConfig dcfg;
+  dcfg.num_endpoints = 1;
+  dcfg.engines_per_endpoint = 1;
+  dcfg.fault_plan = &plan;
+  qat::QatDevice device(dcfg);
+  engine::QatEngineConfig qcfg;
+  qcfg.offload_mode = engine::OffloadMode::kAsync;
+  qcfg.op_deadline_us = 5'000;
+  qcfg.sw_fallback_on_device_error = false;
+  engine::QatEngineProvider qat(device.allocate_instance(), qcfg);
+
+  net::MemoryPipe pipe;
+  HmacDrbg rng{HashAlg::kSha256, to_bytes("abandon")};
+  auto layer = std::make_unique<RecordLayer>(&pipe.a(), &qat, &rng);
+  layer->enable_encryption_tx(test_aead_keys());
+  auto payload = std::make_shared<Bytes>(64 * 1024, 0x5a);
+  const std::weak_ptr<Bytes> watch = payload;
+
+  Status st = Status::ok();
+  run_like_worker(qat, [&] {
+    st = layer->queue(ContentType::kApplicationData, *payload, payload);
+  });
+  EXPECT_EQ(st.code(), Code::kUnavailable) << st.to_string();
+  EXPECT_GE(qat.stats().deadline_expiries, 1u);
+  EXPECT_TRUE(layer->send_buffer_empty()) << "a failed batch queues nothing";
+
+  // The writer lets go while the engine is still stalled.
+  layer.reset();
+  payload.reset();
+  EXPECT_FALSE(watch.expired()) << "the abandoned ops keep the payload alive";
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while ((plan.ops_seen(qat::OpKind::kCipher16k) < 4 ||
+          qat.instance()->inflight() > 0) &&
+         std::chrono::steady_clock::now() < deadline)
+    qat.poll();
+  EXPECT_EQ(plan.ops_seen(qat::OpKind::kCipher16k), 4u);
+  EXPECT_EQ(qat.instance()->inflight(), 0u);
+
+  const engine::QatEngineStats& stats = qat.stats();
+  EXPECT_EQ(stats.submitted, stats.completed + stats.deadline_expiries);
+  EXPECT_EQ(qat.inflight_total(), 0u);
+  EXPECT_EQ(qat.pending_deadline_ops(), 0u);
 }
 
 }  // namespace
