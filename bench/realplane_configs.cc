@@ -61,8 +61,8 @@ RunOutcome run_config(bool use_qat, engine::OffloadMode mode,
   wcfg.notify = notify;
   wcfg.poll = poll;
   wcfg.response_body_size = 128;
-  // QAT+A's 10 us polling thread is the worker's own (the default
-  // timer_interval).
+  // QAT+A's 10 us timer (the default timer_interval) is a tick in the
+  // worker's own loop.
   server::Worker worker(&sctx, qat.get(), wcfg);
 
   engine::SoftwareProvider client_provider(2);

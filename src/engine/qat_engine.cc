@@ -147,8 +147,8 @@ size_t QatEngineProvider::poll(size_t max) {
   stats_.polled_responses += got;
   if (got > stats_.max_poll_batch) stats_.max_poll_batch = got;
   // The deadline sweep piggybacks on the poll cadence: the worker's
-  // failover poll timer keeps polling while ops are in flight, which bounds
-  // how late an expiry is observed.
+  // failover poll (heuristic) or its tick (timer) keeps polling while ops
+  // are in flight, which bounds how late an expiry is observed.
   if (config_.op_deadline_us != 0) sweep_deadlines(steady_now_ns());
   // So does the remote channel: pump() drives TX/RX, fires completions
   // (waking parked fibers through their WaitCtx), expires past-deadline
@@ -410,9 +410,9 @@ void QatEngineProvider::wait_hops(std::span<Op> ops, bool park, Spin spin) {
       spin();
     }
   }
-  // A callback on another thread (an external poller, an interrupt) may
-  // still be inside its notify; returning now could let the caller tear
-  // down the WaitCtx under it. The window is one notify long.
+  // An interrupt-delivered callback runs on an engine thread and may still
+  // be inside its notify; returning now could let the caller tear down the
+  // WaitCtx under it. The window is one notify long.
   while (any_at(kDone)) std::this_thread::yield();
 }
 
@@ -557,13 +557,11 @@ void QatEngineProvider::submit_to_device(qat::OpKind kind,
   if (!job) ++stats_.sync_blocks;
   wait_hops(ops, job != nullptr, [&] {
     // Straight offload (QAT+S): burn the event loop until the responses
-    // are back — this is precisely Figure 3's blocking. With a deadline
-    // set, the spin checks the clock itself (no registry involvement).
-    if (config_.self_poll_when_blocking) {
-      target->poll();
-    } else {
-      std::this_thread::yield();  // an external polling thread retrieves
-    }
+    // are back — this is precisely Figure 3's blocking. Under interrupt
+    // delivery the poll finds an empty ring and the engine thread settles
+    // the op. With a deadline set, the spin checks the clock itself (no
+    // registry involvement).
+    target->poll();
     if (deadline_ns != 0 && steady_now_ns() >= deadline_ns)
       for (Op& op : ops)
         if (op.hop->stage.load(std::memory_order_acquire) == kInFlight)

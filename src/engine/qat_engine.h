@@ -53,16 +53,13 @@ struct QatEngineConfig {
   bool offload_ec = true;
   bool offload_prf = true;
   bool offload_cipher = true;
-  // kSync only: poll the instance from the blocked thread itself (busy
-  // loop). When false the caller relies on an external polling thread
-  // (engine/polling_thread.h) to retrieve the response.
-  bool self_poll_when_blocking = true;
   uint64_t drbg_seed = 0x716174656e67ULL;
 
   // --- failure handling -------------------------------------------------
   // Per-op deadline in microseconds; 0 disables deadlines entirely (no
   // clock reads on the hot path). With polled delivery the deadline sweep
-  // runs inside poll(), so the worker's failover poll timer bounds how late
+  // runs inside poll(), which the worker calls under every poll scheme, so
+  // its failover interval (heuristic) or its tick (timer) bounds how late
   // an expiry is observed. Requires kPolled delivery.
   uint64_t op_deadline_us = 0;
   // Resubmissions after a transient device error before the op is terminal.
@@ -255,7 +252,7 @@ class QatEngineProvider : public CryptoProvider {
   // in its epoll set. arm_wakeup() arms every instance and returns true
   // when the caller may sleep until the fd turns readable. It returns false,
   // disarmed, when a response already waits (poll instead) or a remote hop
-  // is in flight (only poll() pumps the channel). Polling thread only.
+  // is in flight (only poll() pumps the channel). Worker thread only.
   int wakeup_fd() const { return wakeup_fd_; }
   bool arm_wakeup();
   void disarm_wakeup();
@@ -265,9 +262,6 @@ class QatEngineProvider : public CryptoProvider {
   }
 
   qat::CryptoInstance* instance() const { return instances_.front(); }
-  const std::vector<qat::CryptoInstance*>& instances() const {
-    return instances_;
-  }
   const QatEngineStats& stats() const { return stats_; }
   const QatEngineConfig& config() const { return config_; }
 
@@ -323,10 +317,10 @@ class QatEngineProvider : public CryptoProvider {
   // One hop of an op to the device or the remote tier. `stage` moves
   // kInFlight -> kDone -> kSettled in the completion callback, or
   // kInFlight -> kAbandoned in the deadline sweep. Both the device callback
-  // and the sweep run in poll() on the polling (worker) thread — the polled
-  // delivery contract is what makes abandon-vs-late-response handling
-  // race-free without a per-op lock. Deadlines are NOT supported with
-  // kInterrupt delivery or an external polling thread.
+  // and the sweep run in poll() on the worker thread, the only thread that
+  // polls — the polled delivery contract is what makes abandon-vs-late-
+  // response handling race-free without a per-op lock. Deadlines are NOT
+  // supported with kInterrupt delivery.
   struct OpState {
     std::atomic<uint8_t> stage{0};
     qat::CryptoStatus dev_status = qat::CryptoStatus::kSuccess;

@@ -249,7 +249,10 @@ void QatEndpoint::serve(EngineSlot& slot, CryptoRequest& req,
       // Lost response: free the device-side slot but never deliver. The
       // response stripe is NOT incremented, so fw_counters shows
       // requests - responses == drops; only an engine-level deadline
-      // recovers the submitter.
+      // recovers the submitter. The request's closures go first, so the
+      // lost op pins nothing here.
+      req.compute = nullptr;
+      req.on_response = nullptr;
       from->inflight_.fetch_sub(1, std::memory_order_release);
       return;
     case FaultKind::kNone:
@@ -262,6 +265,11 @@ void QatEndpoint::serve(EngineSlot& slot, CryptoRequest& req,
       break;
     }
   }
+  // The compute closure holds the op's inputs (for a seal batch, the
+  // connection's write buffer through its owner). It goes before the
+  // response can reach the poller, so that once the response is drained
+  // nothing on this engine still holds them.
+  req.compute = nullptr;
   if (req.trace.sampled) {
     obs::stamp_now(req.trace, obs::Stage::kServiceDone);
     response.trace = req.trace;
@@ -275,7 +283,8 @@ void QatEndpoint::serve(EngineSlot& slot, CryptoRequest& req,
     // kernel interrupt handler preempting the application.
     from->inflight_.fetch_sub(1, std::memory_order_release);
     obs::stamp_now(response.trace, obs::Stage::kPollDrain);
-    if (req.on_response) req.on_response(response);
+    const ResponseCallback on_response = std::move(req.on_response);
+    if (on_response) on_response(response);
   } else {
     CryptoInstance::ResponseEntry entry{std::move(response),
                                         std::move(req.on_response)};

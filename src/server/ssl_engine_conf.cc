@@ -314,8 +314,9 @@ Result<SslEngineSettings> parse_ssl_engine_settings(const ConfBlock& root) {
   out.heuristic.sym_threshold = static_cast<size_t>(
       qat->get_int("qat_heuristic_poll_sym_threshold", 24));
 
-  // The kernel-bypass queue is single-threaded by construction; it requires
-  // in-application polling (heuristic), not an external polling thread.
+  // The paper evaluates the timer scheme with FD notification only (QAT+A);
+  // keeping kernel-bypass with heuristic polling keeps the accepted confs
+  // to its five configurations.
   if (out.notify == NotifyScheme::kKernelBypass &&
       out.poll == PollScheme::kTimer) {
     return err(Code::kInvalidArgument,

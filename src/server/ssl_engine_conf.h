@@ -17,7 +17,7 @@
 //           qat_poll_mode heuristic;       # W.poll: heuristic | timer |
 //                                          # inline (inline needs sync)
 //           qat_timer_poll_interval 10;    # W.timer_interval, microseconds:
-//                                          # the worker's PollingThread
+//                                          # the period of the worker's tick
 //           qat_heuristic_poll_asym_threshold 48;  # W.heuristic
 //           qat_heuristic_poll_sym_threshold 24;   # W.heuristic
 //       }
@@ -92,7 +92,7 @@ enum class NotifyScheme : uint8_t {
 
 enum class PollScheme : uint8_t {
   kHeuristic,  // §4.3
-  kTimer,      // external timer-based polling thread
+  kTimer,      // a periodic tick in the worker's loop (§3.3)
   kInline,     // blocking self-poll (straight offload / QAT+S)
 };
 
@@ -132,7 +132,7 @@ struct SslEngineSettings {
   RemoteOffloadSettings remote;
   NotifyScheme notify = NotifyScheme::kKernelBypass;
   PollScheme poll = PollScheme::kHeuristic;
-  std::chrono::microseconds timer_interval{10};  // kTimer's polling period
+  std::chrono::microseconds timer_interval{10};  // kTimer's tick period
   HeuristicPollerConfig heuristic;
   // The shared resumption plane (session_cache{} block).
   tls::SessionPlaneConfig session;

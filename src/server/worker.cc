@@ -2,10 +2,13 @@
 
 #include <fcntl.h>
 #include <sys/stat.h>
+#include <sys/timerfd.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
+#include <cstring>
 #include <sstream>
 #include <vector>
 
@@ -96,9 +99,29 @@ Worker::Worker(tls::TlsContext* tls_ctx, engine::QatEngineProvider* qat,
       }
     }
   }
-  if (qat_ && config_.poll == PollScheme::kTimer)
-    timer_poller_ = std::make_unique<engine::PollingThread>(
-        qat_->instances(), config_.timer_interval);
+  if (qat_ && config_.poll == PollScheme::kTimer) {
+    // The timer scheme (§3.3): a tick every interval polls the engine,
+    // whether or not ops are in flight, like the stock polling thread, but
+    // on this thread and through the same poll() as every other scheme.
+    const int64_t ns =
+        std::chrono::nanoseconds(config_.timer_interval).count();
+    itimerspec period{};
+    period.it_interval.tv_sec = static_cast<time_t>(ns / 1'000'000'000);
+    period.it_interval.tv_nsec = static_cast<long>(ns % 1'000'000'000);
+    period.it_value = period.it_interval;
+    timer_fd_ = ::timerfd_create(CLOCK_MONOTONIC, TFD_NONBLOCK | TFD_CLOEXEC);
+    if (timer_fd_ < 0 ||
+        ::timerfd_settime(timer_fd_, 0, &period, nullptr) != 0) {
+      QTLS_ERROR << "timerfd: " << std::strerror(errno)
+                 << "; nothing polls the engine";
+    } else {
+      const Status st = loop_.add(timer_fd_, true, false,
+                                  [this](net::FdEvents) { on_timer_tick(); });
+      if (!st.is_ok()) {
+        QTLS_ERROR << "timer tick: " << st.to_string();
+      }
+    }
+  }
   if (config_.clock) loop_.set_clock(config_.clock);
   response_body_.resize(config_.response_body_size);
   for (size_t i = 0; i < response_body_.size(); ++i)
@@ -106,8 +129,6 @@ Worker::Worker(tls::TlsContext* tls_ctx, engine::QatEngineProvider* qat,
 }
 
 Worker::~Worker() {
-  // The polling thread stops first: from here on only this thread polls.
-  timer_poller_.reset();
   // No fiber may outlive its connection: run every paused offload job to
   // completion before the connections are destroyed.
   for (auto& [fd, conn] : conns_) {
@@ -128,6 +149,7 @@ Worker::~Worker() {
     ::close(node->fd);
     park_pool_->destroy(node);
   }
+  if (timer_fd_ >= 0) ::close(timer_fd_);
 }
 
 uint64_t Worker::now_ms() const { return loop_.now_ms(); }
@@ -1041,10 +1063,10 @@ int Worker::sleep_budget(int timeout_ms) {
   if (timeout_ms == 0 || !async_queue_.empty()) return 0;
   if (!qat_ || qat_->inflight_total() == 0) return timeout_ms;
   // Ops in flight and nothing else to do: sleep until the device answers
-  // (DESIGN.md §5). With the timer scheme the polling thread retrieves and
-  // each connection's eventfd wakes epoll; in-app polling arms the
-  // engine's wakeup, and a sleep never outlasts the failover interval, so
-  // the deadline sweep keeps its cadence.
+  // (DESIGN.md §5). With the timer scheme the next tick polls, so the loop
+  // sleeps without arming; heuristic polling arms the engine's wakeup, and
+  // a sleep never outlasts the failover interval, so the deadline sweep
+  // keeps its cadence.
   if (poller_) {
     if (!poller_->arm_or_poll(now_ms())) return 0;
     wakeup_armed_ = true;
@@ -1064,6 +1086,13 @@ void Worker::on_device_wakeup() {
   if (!wakeup_armed_) return;
   note_progress();
   (void)poller_->wake_poll(now_ms());
+}
+
+void Worker::on_timer_tick() {
+  uint64_t expirations = 0;
+  [[maybe_unused]] ssize_t r = ::read(timer_fd_, &expirations,
+                                      sizeof(expirations));
+  (void)qat_->poll();
 }
 
 int Worker::run_once(int timeout_ms) {
@@ -1097,10 +1126,11 @@ int Worker::run_once(int timeout_ms) {
 
 // Failure observation contract: a connection whose offload op fails
 // terminally is torn down inside some run_once iteration (the deadline
-// sweep rides the failover poll, so even a dropped response resolves within
-// ~failover_interval_ms + op_deadline_us). `stop` predicates waiting on
-// progress counters should also watch stats().errors / async_failures —
-// a failed connection advances those, never the progress counters.
+// sweep rides the failover poll or the timer tick, so even a dropped
+// response resolves within op_deadline_us plus one failover or tick
+// interval). `stop` predicates waiting on progress counters should also
+// watch stats().errors / async_failures — a failed connection advances
+// those, never the progress counters.
 // A pending eject (crash-only recovery, DESIGN.md §15) exits the loop ahead
 // of the caller's own predicate.
 void Worker::run_until(const std::function<bool()>& stop, int timeout_ms) {

@@ -8,8 +8,8 @@
 //  * notification: kernel-bypass async queue drained at the end of each
 //    loop iteration, or eventfd through epoll;
 //  * heuristic polling hooks wherever ops are submitted or TC_active moves,
-//    plus the failover timer — or, with the timer scheme, the worker's own
-//    polling thread over its engine's instances;
+//    plus the failover timer — or, with the timer scheme, a periodic
+//    timerfd in the loop's epoll set whose tick polls the engine;
 //  * with nothing left to do but ops in flight, a sleep in epoll until the
 //    engine's wakeup eventfd fires (DESIGN.md §5) instead of a spin;
 //  * stub_status-style accounting: TC_active = TC_alive - TC_idle.
@@ -20,7 +20,6 @@
 #include <unordered_map>
 
 #include "common/slab.h"
-#include "engine/polling_thread.h"
 #include "net/event_loop.h"
 #include "net/socket_transport.h"
 #include "server/async_queue.h"
@@ -59,7 +58,7 @@ struct WorkerHeartbeat {
 struct WorkerConfig {
   NotifyScheme notify = NotifyScheme::kKernelBypass;
   PollScheme poll = PollScheme::kHeuristic;
-  // kTimer: the period of the worker's own polling thread.
+  // kTimer: the period of the tick that polls the engine from the loop.
   std::chrono::microseconds timer_interval{10};
   HeuristicPollerConfig heuristic;
   size_t response_body_size = 1024;  // the served "file"
@@ -261,6 +260,8 @@ class Worker {
   int sleep_budget(int timeout_ms);
   // The engine's wakeup eventfd turned readable.
   void on_device_wakeup();
+  // kTimer: the periodic timerfd expired.
+  void on_timer_tick();
   // Apply a newly published RuntimeConfig generation on the worker thread
   // (credentials, overload caps, http limits, file root, remote rebind).
   void maybe_apply_runtime_config();
@@ -296,8 +297,7 @@ class Worker {
 
   AsyncEventQueue async_queue_;
   std::unique_ptr<HeuristicPoller> poller_;
-  // kTimer: the external thread that retrieves the engine's responses.
-  std::unique_ptr<engine::PollingThread> timer_poller_;
+  int timer_fd_ = -1;  // kTimer: the periodic timerfd, armed for life
   bool wakeup_armed_ = false;  // this pass sleeps on the engine's wakeup
   Bytes response_body_;
   WorkerStats stats_;

@@ -7,7 +7,6 @@
 
 #include "asyncx/job.h"
 #include "crypto/keystore.h"
-#include "engine/polling_thread.h"
 #include "engine/provider.h"
 #include "engine/qat_engine.h"
 
@@ -73,25 +72,6 @@ TEST_F(EngineTest, SyncOffloadBlocksAndCompletes) {
   EXPECT_EQ(qat.inflight_total(), 0u);
   // Device saw exactly one asym request.
   EXPECT_EQ(device_.fw_counters().requests[0], 1u);
-}
-
-TEST_F(EngineTest, SyncModeWithExternalPollingThread) {
-  QatEngineConfig cfg;
-  cfg.offload_mode = OffloadMode::kSync;
-  cfg.self_poll_when_blocking = false;
-  qat::CryptoInstance* inst = device_.allocate_instance();
-  QatEngineProvider qat(inst, cfg);
-  PollingThread poller({inst}, std::chrono::microseconds(100));
-
-  auto out = qat.prf_tls12(HashAlg::kSha256, to_bytes("secret"),
-                           "master secret", to_bytes("seed"), 48);
-  ASSERT_TRUE(out.is_ok());
-  EXPECT_EQ(out.value(),
-            tls12_prf(HashAlg::kSha256, to_bytes("secret"), "master secret",
-                      to_bytes("seed"), 48));
-  poller.stop();
-  EXPECT_GT(poller.polls(), 0u);
-  EXPECT_EQ(poller.retrieved(), 1u);
 }
 
 TEST_F(EngineTest, AsyncOffloadPausesJob) {

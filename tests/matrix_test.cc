@@ -1,8 +1,8 @@
 // Combinatorial end-to-end matrix: every evaluated cipher suite crossed
-// with both notification schemes and both curve families, each cell running
-// full handshakes + requests through the real worker/QTLS pipeline. This is
-// the breadth check that no (suite, scheme) combination has a divergent
-// code path.
+// with the paper's three async configurations and both curve families, each
+// cell running full handshakes + requests through the real worker pipeline.
+// This is the breadth check that no (suite, configuration) combination has
+// a divergent code path.
 #include <gtest/gtest.h>
 
 #include "crypto/keystore.h"
@@ -11,7 +11,12 @@
 namespace qtls::server {
 namespace {
 
-using MatrixParam = std::tuple<tls::CipherSuite, NotifyScheme, CurveId>;
+using testutil::AsyncConfig;
+using testutil::kQatA;
+using testutil::kQatAh;
+using testutil::kQtls;
+
+using MatrixParam = std::tuple<tls::CipherSuite, AsyncConfig, CurveId>;
 
 class WorkerMatrixTest : public ::testing::TestWithParam<MatrixParam> {};
 
@@ -32,18 +37,17 @@ INSTANTIATE_TEST_SUITE_P(
                           tls::CipherSuite::kEcdheRsaWithAes128CbcSha,
                           tls::CipherSuite::kEcdheEcdsaWithAes128CbcSha,
                           tls::CipherSuite::kTls13Aes128Sha256),
-        ::testing::Values(NotifyScheme::kKernelBypass, NotifyScheme::kFd),
+        ::testing::Values(kQatA, kQatAh, kQtls),
         ::testing::Values(CurveId::kP256, CurveId::kK283)),
     [](const auto& info) {
       std::string name = suite_tag(std::get<0>(info.param));
-      name += std::get<1>(info.param) == NotifyScheme::kKernelBypass ? "Kb"
-                                                                     : "Fd";
+      name += std::get<1>(info.param).name;
       name += std::get<2>(info.param) == CurveId::kP256 ? "P256" : "K283";
       return name;
     });
 
 TEST_P(WorkerMatrixTest, HandshakesAndRequestsSucceed) {
-  const auto [suite, notify, curve] = GetParam();
+  const auto [suite, config, curve] = GetParam();
   // TLS 1.3 on a binary ECDHE group is outside the reproduced scope (the
   // paper's Fig. 8 uses P-256).
   if (suite == tls::CipherSuite::kTls13Aes128Sha256 &&
@@ -74,7 +78,8 @@ TEST_P(WorkerMatrixTest, HandshakesAndRequestsSucceed) {
   tls::TlsContext cctx(ccfg, &client_provider);
 
   WorkerConfig wcfg;
-  wcfg.notify = notify;
+  wcfg.notify = config.notify;
+  wcfg.poll = config.poll;
   Worker worker(&sctx, &qat, wcfg);
 
   client::Pool pool;

@@ -165,7 +165,7 @@ TEST(Slowloris, AsyncParkedHandshakeTimeoutReclaimsSlotAndCapSheds) {
 
   uint64_t vnow = 1000;
   WorkerConfig wcfg;
-  wcfg.poll = PollScheme::kTimer;  // nobody polls: parks never resume
+  wcfg.poll = PollScheme::kTimer;  // no tick in the test: parks never resume
   wcfg.timer_interval = std::chrono::hours(1);
   wcfg.overload.handshake_timeout_ms = 3000;
   wcfg.overload.max_async_inflight = 1;

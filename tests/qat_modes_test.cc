@@ -48,7 +48,7 @@ TEST(InterruptDelivery, CallbackFiresWithoutPolling) {
 
 TEST(InterruptDelivery, SyncEngineOffloadCompletes) {
   // The blocking engine path works unchanged: `done` flips from the
-  // interrupt context instead of a poll.
+  // interrupt context, and the spin's own polls find an empty ring.
   qat::DeviceConfig cfg;
   cfg.num_endpoints = 1;
   cfg.engines_per_endpoint = 2;
@@ -56,7 +56,6 @@ TEST(InterruptDelivery, SyncEngineOffloadCompletes) {
   qat::QatDevice device(cfg);
   engine::QatEngineConfig qcfg;
   qcfg.offload_mode = engine::OffloadMode::kSync;
-  qcfg.self_poll_when_blocking = false;  // nothing to poll: interrupts
   engine::QatEngineProvider qat(device.allocate_instance(), qcfg);
 
   auto out = qat.prf_tls12(HashAlg::kSha256, to_bytes("k"), "label",

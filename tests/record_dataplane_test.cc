@@ -482,6 +482,9 @@ TEST(RecordDataPlane, AbandonedSealBatchOutlivesItsWriter) {
     qat.poll();
   EXPECT_EQ(plan.ops_seen(qat::OpKind::kCipher16k), 4u);
   EXPECT_EQ(qat.instance()->inflight(), 0u);
+  // Every response is drained, and the engine dropped each request's
+  // closures before answering it: nothing is left holding the payload.
+  EXPECT_TRUE(watch.expired()) << "a served request pins the payload";
 
   const engine::QatEngineStats& stats = qat.stats();
   EXPECT_EQ(stats.submitted, stats.completed + stats.deadline_expiries);

@@ -5,7 +5,9 @@
 // that the per-class breaker is charged ONLY when no higher tier is
 // available: a live remote channel shields the class exactly like a
 // surviving device lane, and the no-lane path (device hot-removed) never
-// charges it at all. Also covers the remote_offload{} conf block.
+// charges it at all. A worker under the timer scheme then serves whole
+// handshakes through the remote tier. Also covers the remote_offload{} conf
+// block.
 // Select with `ctest -L remote`.
 #include <gtest/gtest.h>
 
@@ -24,6 +26,7 @@
 #include "remote_test_util.h"
 #include "server/ssl_engine_conf.h"
 #include "server/worker_pool.h"
+#include "server_test_util.h"
 
 namespace qtls {
 namespace {
@@ -96,6 +99,63 @@ struct SealRecords {
   }
 };
 
+// The QAT side of a case. kUp/kFailing/kDropping use the standalone
+// single-device shape, where a terminal failure reaches the
+// retries-exhausted (or deadline-expired) ladder point; kRemoved uses a
+// one-device topology whose device is hot-removed, exercising the no-lane
+// path instead.
+struct QatSide {
+  qat::FaultPlan plan{0x1adde5};
+  std::unique_ptr<qat::QatDevice> device;
+  std::unique_ptr<qat::DeviceTopology> topo;
+  std::unique_ptr<engine::QatEngineProvider> eng;
+
+  QatSide(QatState state, const engine::QatEngineConfig& ecfg) {
+    if (state == QatState::kRemoved) {
+      qat::TopologyConfig tc;
+      tc.num_devices = 1;
+      tc.numa_nodes = 1;
+      tc.device.num_endpoints = 1;
+      tc.device.engines_per_endpoint = 2;
+      tc.device.ring_capacity = 32;
+      tc.device.max_instances_per_endpoint = 4;
+      topo = std::make_unique<qat::DeviceTopology>(tc);
+      engine::DeviceInstanceSet set;
+      set.device_id = 0;
+      set.instances.push_back(topo->device(0).allocate_instance());
+      std::vector<engine::DeviceInstanceSet> sets;
+      sets.push_back(std::move(set));
+      eng = std::make_unique<engine::QatEngineProvider>(topo.get(), 0,
+                                                        std::move(sets), ecfg);
+      EXPECT_TRUE(topo->hot_remove(0));
+      return;
+    }
+    qat::DeviceConfig dcfg;
+    dcfg.fault_plan = &plan;
+    device = std::make_unique<qat::QatDevice>(dcfg);
+    eng = std::make_unique<engine::QatEngineProvider>(
+        device->allocate_instance(), ecfg);
+    if (state == QatState::kFailing) plan.trigger_reset();
+    if (state == QatState::kDropping) {
+      qat::FaultRates drop;
+      drop.drop_rate = 1.0;
+      plan.set_rates_all(drop);
+    }
+  }
+};
+
+// The remote side of a case: a loopback server; kSlow parks frames without
+// answering (live-but-unresponsive), kDead is a client-visible channel
+// death.
+std::unique_ptr<RemoteChannel> remote_side(RemoteState state) {
+  auto transport = std::make_unique<LoopbackTransport>();
+  LoopbackTransport* loop = transport.get();
+  auto channel = std::make_unique<RemoteChannel>(std::move(transport));
+  if (state == RemoteState::kSlow) loop->stall();
+  if (state == RemoteState::kDead) channel->kill();
+  return channel;
+}
+
 void run_case(const MatrixCase& c, bool batch) {
   SCOPED_TRACE(std::string(name(c.qat)) + " x " + name(c.remote) +
                (batch ? " (seal batch)" : " (single ops)"));
@@ -112,53 +172,10 @@ void run_case(const MatrixCase& c, bool batch) {
   // A dropped response only ends at its deadline.
   if (c.qat == QatState::kDropping) ecfg.op_deadline_us = 3'000;
 
-  // QAT side. kUp/kFailing/kDropping use the standalone single-device
-  // shape, where a terminal failure reaches the retries-exhausted (or
-  // deadline-expired) ladder point; kRemoved uses a one-device topology
-  // whose device is hot-removed, exercising the no-lane path instead.
-  qat::FaultPlan plan(0x1adde5);
-  std::unique_ptr<qat::QatDevice> device;
-  std::unique_ptr<qat::DeviceTopology> topo;
-  std::unique_ptr<engine::QatEngineProvider> eng;
-  if (c.qat == QatState::kRemoved) {
-    qat::TopologyConfig tc;
-    tc.num_devices = 1;
-    tc.numa_nodes = 1;
-    tc.device.num_endpoints = 1;
-    tc.device.engines_per_endpoint = 2;
-    tc.device.ring_capacity = 32;
-    tc.device.max_instances_per_endpoint = 4;
-    topo = std::make_unique<qat::DeviceTopology>(tc);
-    engine::DeviceInstanceSet set;
-    set.device_id = 0;
-    set.instances.push_back(topo->device(0).allocate_instance());
-    std::vector<engine::DeviceInstanceSet> sets;
-    sets.push_back(std::move(set));
-    eng = std::make_unique<engine::QatEngineProvider>(topo.get(), 0,
-                                                      std::move(sets), ecfg);
-    ASSERT_TRUE(topo->hot_remove(0));
-  } else {
-    qat::DeviceConfig dcfg;
-    dcfg.fault_plan = &plan;
-    device = std::make_unique<qat::QatDevice>(dcfg);
-    eng = std::make_unique<engine::QatEngineProvider>(
-        device->allocate_instance(), ecfg);
-    if (c.qat == QatState::kFailing) plan.trigger_reset();
-    if (c.qat == QatState::kDropping) {
-      qat::FaultRates drop;
-      drop.drop_rate = 1.0;
-      plan.set_rates_all(drop);
-    }
-  }
-
-  // Remote side: a loopback server; kSlow parks frames without answering
-  // (live-but-unresponsive), kDead is a client-visible channel death.
-  auto transport = std::make_unique<LoopbackTransport>();
-  LoopbackTransport* loop = transport.get();
-  RemoteChannel channel(std::move(transport));
-  if (c.remote == RemoteState::kSlow) loop->stall();
-  if (c.remote == RemoteState::kDead) channel.kill();
-  eng->set_remote_backend(&channel);
+  QatSide qat_side(c.qat, ecfg);
+  engine::QatEngineProvider* eng = qat_side.eng.get();
+  std::unique_ptr<RemoteChannel> channel = remote_side(c.remote);
+  eng->set_remote_backend(channel.get());
 
   if (batch) {
     SealRecords got, want;
@@ -204,8 +221,8 @@ void run_case(const MatrixCase& c, bool batch) {
   EXPECT_EQ(st.remote_ops,
             st.remote_completed + st.remote_expiries + st.remote_failures);
   EXPECT_EQ(eng->inflight_total(), 0u);
-  EXPECT_EQ(channel.inflight(), 0u);
-  const remote::RemoteChannelStats ch = channel.stats();
+  EXPECT_EQ(channel->inflight(), 0u);
+  const remote::RemoteChannelStats ch = channel->stats();
   EXPECT_EQ(ch.completed + ch.expired + ch.failed, ch.submitted);
 }
 
@@ -246,6 +263,64 @@ TEST(RemoteLadderMatrix, TierChoiceAndBreakerCharging) {
   for (const MatrixCase& c : cases) {
     run_case(c, /*batch=*/false);
     run_case(c, /*batch=*/true);
+  }
+}
+
+// A worker under the timer scheme (QAT+A: FD notification, a tick in the
+// loop) over an engine whose device is gone: every handshake op travels the
+// remote tier. Only poll() pumps the channel, so the tick must call it.
+TEST(RemoteLadderWorker, TimerSchemeCompletesHandshakesThroughTheRemoteTier) {
+  for (QatState state : {QatState::kFailing, QatState::kRemoved}) {
+    SCOPED_TRACE(name(state));
+    engine::QatEngineConfig ecfg;  // async offload
+    ecfg.max_retries = 1;
+    ecfg.breaker_cooldown_ms = 60'000;
+    // Generous: the loopback server signs on this thread during the flush,
+    // and a sanitized build signs slowly.
+    ecfg.remote_op_deadline_us = 5'000'000;
+    QatSide qat_side(state, ecfg);
+    engine::QatEngineProvider& eng = *qat_side.eng;
+    std::unique_ptr<RemoteChannel> channel = remote_side(RemoteState::kUp);
+    eng.set_remote_backend(channel.get());
+
+    tls::TlsContextConfig scfg;
+    scfg.is_server = true;
+    scfg.async_mode = true;
+    scfg.cipher_suites = {tls::CipherSuite::kEcdheRsaWithAes128CbcSha};
+    tls::TlsContext sctx(scfg, &eng);
+    sctx.credentials().rsa_key = &test_rsa2048();
+    engine::SoftwareProvider client_provider;
+    tls::TlsContextConfig ccfg;
+    ccfg.cipher_suites = scfg.cipher_suites;
+    tls::TlsContext cctx(ccfg, &client_provider);
+
+    server::WorkerConfig wcfg;
+    wcfg.notify = server::NotifyScheme::kFd;
+    wcfg.poll = server::PollScheme::kTimer;
+    wcfg.timer_interval = std::chrono::milliseconds(1);
+    server::Worker worker(&sctx, &eng, wcfg);
+    client::Pool pool;
+    for (int i = 0; i < 2; ++i) {
+      client::ClientOptions copts;  // a full handshake per request
+      copts.max_requests = 2;
+      pool.add(std::make_unique<client::HttpsClient>(
+          &cctx, server::testutil::socketpair_connector(&worker), copts,
+          700 + static_cast<uint64_t>(i)));
+    }
+    ASSERT_TRUE(server::testutil::run_to_completion(&worker, &pool,
+                                                    /*deadline_seconds=*/20))
+        << "a parked remote hop was never pumped";
+    EXPECT_EQ(pool.aggregate().errors, 0u);
+    EXPECT_EQ(worker.stats().handshakes_completed, 4u);
+
+    const engine::QatEngineStats& st = eng.stats();
+    EXPECT_GT(st.remote_completed, 0u);
+    EXPECT_EQ(st.sw_fallbacks, 0u);
+    EXPECT_EQ(st.remote_ops,
+              st.remote_completed + st.remote_expiries + st.remote_failures);
+    EXPECT_EQ(eng.inflight_total(), 0u);
+    EXPECT_EQ(eng.remote_hops(), 0u);
+    EXPECT_EQ(channel->inflight(), 0u);
   }
 }
 

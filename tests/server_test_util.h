@@ -6,12 +6,32 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <ostream>
 #include <string>
 
 #include "client/https_client.h"
 #include "server/worker.h"
 
 namespace qtls::server::testutil {
+
+// One of the paper's async configurations: how the worker learns of a
+// response and what retrieves it.
+struct AsyncConfig {
+  const char* name;
+  NotifyScheme notify;
+  PollScheme poll;
+};
+
+inline void PrintTo(const AsyncConfig& config, std::ostream* os) {
+  *os << config.name;
+}
+
+inline constexpr AsyncConfig kQatA{"QatA", NotifyScheme::kFd,
+                                   PollScheme::kTimer};
+inline constexpr AsyncConfig kQatAh{"QatAh", NotifyScheme::kFd,
+                                    PollScheme::kHeuristic};
+inline constexpr AsyncConfig kQtls{"Qtls", NotifyScheme::kKernelBypass,
+                                   PollScheme::kHeuristic};
 
 inline client::ConnectFn socketpair_connector(Worker* worker) {
   return [worker]() -> int {

@@ -3,6 +3,10 @@
 // a dropped response expiring the per-op deadline) must be torn down and its
 // slot released — run_until() observes the failure through stats().errors /
 // async_failures instead of waiting forever on progress that cannot come.
+// Every case runs under two poll schemes: heuristic polling with the
+// kernel-bypass queue (Qtls) and the timer tick with FD notification
+// (QatA). Both retrieve through the engine's poll(), so the deadline sweep
+// runs under both.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -40,15 +44,39 @@ struct WorkerFaultFixture {
     return scfg;
   }
 
-  explicit WorkerFaultFixture(engine::QatEngineConfig ecfg, uint64_t seed)
+  WorkerFaultFixture(engine::QatEngineConfig ecfg, uint64_t seed,
+                     WorkerConfig wcfg)
       : plan(seed),
         device(device_config(&plan)),
         qat(device.allocate_instance(), ecfg),
         sctx(server_config(), &qat),
-        worker(&sctx, &qat, WorkerConfig{}) {
+        worker(&sctx, &qat, wcfg) {
     sctx.credentials().rsa_key = &test_rsa2048();
   }
 };
+
+class WorkerFault : public ::testing::TestWithParam<testutil::AsyncConfig> {
+ protected:
+  static WorkerConfig worker_config() {
+    WorkerConfig wcfg;
+    wcfg.notify = GetParam().notify;
+    wcfg.poll = GetParam().poll;
+    wcfg.timer_interval = std::chrono::milliseconds(1);
+    return wcfg;
+  }
+  // How late after a deadline the sweep may run: one tick, or one failover
+  // interval of the heuristic scheme.
+  static std::chrono::microseconds sweep_interval() {
+    const WorkerConfig wcfg = worker_config();
+    if (wcfg.poll == PollScheme::kTimer) return wcfg.timer_interval;
+    return std::chrono::milliseconds(wcfg.heuristic.failover_interval_ms);
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    PollSchemes, WorkerFault,
+    ::testing::Values(testutil::kQtls, testutil::kQatA),
+    [](const auto& info) { return std::string(info.param.name); });
 
 tls::TlsContextConfig client_config() {
   tls::TlsContextConfig ccfg;
@@ -88,11 +116,11 @@ void drain_until_closed(WorkerFaultFixture* fx) {
 
 // Terminal device error with fallback disabled: the op surfaces
 // kUnavailable, the TLS layer fails, the worker tears the connection down.
-TEST(WorkerFault, TerminalDeviceErrorTearsDownConnection) {
+TEST_P(WorkerFault, TerminalDeviceErrorTearsDownConnection) {
   engine::QatEngineConfig ecfg;
   ecfg.max_retries = 0;
   ecfg.sw_fallback_on_device_error = false;
-  WorkerFaultFixture fx(ecfg, /*seed=*/41);
+  WorkerFaultFixture fx(ecfg, /*seed=*/41, worker_config());
   qat::FaultRates always_fail;
   always_fail.error_rate = 1.0;
   fx.plan.set_rates_all(always_fail);
@@ -126,15 +154,16 @@ TEST(WorkerFault, TerminalDeviceErrorTearsDownConnection) {
 // Dropped response with fallback disabled: before per-op deadlines existed
 // this was the unobservable case — the fiber stayed parked forever and
 // run_until spun without any way to notice. The deadline sweep (riding the
-// worker's failover poll) now expires the op and the teardown follows.
-TEST(WorkerFault, DroppedResponseExpiresAndTearsDownConnection) {
+// worker's failover poll or its tick) now expires the op within the deadline
+// plus one interval, and the teardown follows.
+TEST_P(WorkerFault, DroppedResponseExpiresAndTearsDownConnection) {
   engine::QatEngineConfig ecfg;
   ecfg.max_retries = 0;
   // Generous against real device service times: only the dropped response
   // can ever hit this deadline.
   ecfg.op_deadline_us = 20'000;
   ecfg.sw_fallback_on_device_error = false;
-  WorkerFaultFixture fx(ecfg, /*seed=*/42);
+  WorkerFaultFixture fx(ecfg, /*seed=*/42, worker_config());
   // First PRF op of the handshake never comes back.
   fx.plan.schedule(qat::OpKind::kPrfTls12, 1, qat::FaultKind::kDrop);
 
@@ -145,6 +174,31 @@ TEST(WorkerFault, DroppedResponseExpiresAndTearsDownConnection) {
   ASSERT_TRUE(fx.worker.adopt(pair.value().second).is_ok());
   net::SocketTransport transport(pair.value().first);
   tls::TlsConnection client(&cctx, &transport);
+
+  // The pass that submits the dropped op sets its deadline before the test
+  // can see the device's count move, so the expiry is due within the
+  // deadline plus one failover or tick interval of that sighting. The slack
+  // covers a slow pass on a sanitized build; the hang this guards against
+  // is unbounded. (On a loaded sanitized build an earlier op may outlast
+  // the deadline instead; the teardown that follows is the same.)
+  using Clock = std::chrono::steady_clock;
+  const auto give_up = Clock::now() + std::chrono::seconds(30);
+  auto pass = [&] {
+    (void)client.handshake();
+    fx.worker.run_once(0);
+    return Clock::now() < give_up;
+  };
+  while (fx.plan.ops_seen(qat::OpKind::kPrfTls12) == 0 &&
+         fx.qat.stats().deadline_expiries == 0 && pass()) {
+  }
+  const auto seen = Clock::now();
+  while (fx.qat.stats().deadline_expiries == 0 && pass()) {
+  }
+  const auto expired = Clock::now();
+  ASSERT_EQ(fx.qat.stats().deadline_expiries, 1u);
+  const auto slow_pass = std::chrono::seconds(1);
+  EXPECT_LT(expired - seen, std::chrono::microseconds(ecfg.op_deadline_us) +
+                                sweep_interval() + slow_pass);
 
   const tls::TlsResult client_r = pump_until_resolved(&client, &fx.worker);
   EXPECT_TRUE(client_r == tls::TlsResult::kClosed ||
@@ -163,14 +217,14 @@ TEST(WorkerFault, DroppedResponseExpiresAndTearsDownConnection) {
 
 // Same dropped response with fallback enabled: the connection survives — the
 // expired op completes in software and the request is served normally.
-TEST(WorkerFault, DroppedResponseWithFallbackServesRequest) {
+TEST_P(WorkerFault, DroppedResponseWithFallbackServesRequest) {
   engine::QatEngineConfig ecfg;
   ecfg.max_retries = 0;
   // Generous against real device service times: only the dropped response
   // can ever hit this deadline.
   ecfg.op_deadline_us = 20'000;
   ecfg.sw_fallback_on_device_error = true;
-  WorkerFaultFixture fx(ecfg, /*seed=*/43);
+  WorkerFaultFixture fx(ecfg, /*seed=*/43, worker_config());
   fx.plan.schedule(qat::OpKind::kPrfTls12, 1, qat::FaultKind::kDrop);
 
   engine::SoftwareProvider client_provider(7);

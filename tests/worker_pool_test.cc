@@ -254,9 +254,9 @@ TEST(WorkerPool, SleepingWorkerWakesOnTheDeviceAndKeepsItsHeartbeat) {
   EXPECT_GE(worker.poller_stats()->wake_triggers, 1u);
 }
 
-TEST(WorkerPool, TimerSchemeConfServesThroughTheWorkersPollingThread) {
+TEST(WorkerPool, TimerSchemeConfServesThroughTheWorkersTick) {
   // The paper's QAT+A configuration, built from its conf: FD notification
-  // and a 10 us timer polling thread that the worker starts for itself.
+  // and a 10 us tick in the worker's loop that polls its engine.
   auto settings = parse_ssl_engine_settings(R"(
 worker_processes 1;
 ssl_engine {
@@ -308,7 +308,8 @@ ssl_engine {
   EXPECT_TRUE(all_done) << "parked ops were never retrieved";
   EXPECT_EQ(clients.aggregate().errors, 0u);
   EXPECT_GE(pool.stats().totals.handshakes_completed, 6u);
-  EXPECT_EQ(pool.worker(0)->poller_stats(), nullptr);  // no in-app polling
+  EXPECT_EQ(pool.worker(0)->poller_stats(), nullptr);  // no heuristic poller
+  EXPECT_GT(pool.engine(0)->stats().polls, 0u);         // the ticks polled
   EXPECT_GT(pool.engine(0)->stats().completed, 0u);
   EXPECT_EQ(pool.engine(0)->inflight_total(), 0u);
 }
